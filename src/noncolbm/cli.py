@@ -303,7 +303,6 @@ def build_parser():
     pv.add_argument("--reps", type=int)
     pv.add_argument("--samples", type=int)
     pv.add_argument("--seed", type=int)
-    pv.add_argument("--threads", type=int)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
     return p

@@ -1,4 +1,4 @@
-"""Deterministic linear-algebra kernels: ordered eigenvalues, determinants,
+"""Deterministic linear-algebra kernels: ordered eigenvalues,
 Pfaffians, Vandermonde products, and the one-dimensional heat kernel."""
 
 import numpy as np
@@ -36,13 +36,19 @@ def check_hermitian(H, tol=HERMITIAN_TOL):
 
 
 def check_skew(A, tol=HERMITIAN_TOL):
-    """Validate a real skew-symmetric matrix and return it."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    """Validate a skew-symmetric (A^T = -A) real or complex matrix, or a
+    stack (..., n, n) of them, and return it as float or complex.  The
+    tolerance is relative to each matrix's largest entry."""
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A.dtype, float), copy=False)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    if np.abs(A + A.T).max() > tol * scale:
-        raise ValueError("matrix is not skew-symmetric within tolerance")
+    if A.size:
+        scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+        asym = A + np.swapaxes(A, -1, -2)
+        asym = np.abs(asym, out=asym).max(axis=(-2, -1)).real
+        if np.any(asym > tol * scale):
+            raise ValueError("matrix is not skew-symmetric within tolerance")
     return A
 
 
@@ -83,43 +89,52 @@ def ordered_eigensystem(H, tol=HERMITIAN_TOL):
     return np.linalg.eigh(H)
 
 
-def determinant(M):
-    """Determinant of a square real or complex matrix (LU with pivoting)."""
-    M = np.asarray(M)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError("matrix must be square")
-    d = np.linalg.det(M)
-    if np.iscomplexobj(M):
-        return d
-    return d
-
-
 def pfaffian(A, tol=HERMITIAN_TOL):
-    """Pfaffian of an even-dimensional real skew-symmetric matrix.
+    """Pfaffian of an even-dimensional skew-symmetric real or complex matrix
+    (n, n), or of each matrix of a stack (..., n, n).
 
-    Skew-symmetric tridiagonalization with partial pivoting (Parlett-Reid);
-    the Pfaffian is the product of the superdiagonal of the tridiagonal form
-    times the sign of the accumulated permutation.
+    Skew-symmetric tridiagonalization with partial pivoting (Parlett-Reid,
+    as in Wimmer, ACM TOMS 38, 2012); the Pfaffian is the product of the
+    superdiagonal of the tridiagonal form times the sign of the accumulated
+    permutation.  A stack is reduced in one loop over columns, each matrix
+    pivoting on its own.  Returns a scalar for one matrix (a float for real
+    input), an array of shape A.shape[:-2] for a stack.
     """
-    A = check_skew(A, tol=tol).copy()
-    n = A.shape[0]
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("matrix must be square")
+    n = A.shape[-1]
     if n % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
-    if n == 0:
-        return 1.0
-    pf = 1.0
-    for k in range(0, n - 1, 2):
-        # pivot: largest entry in column k below the diagonal
-        kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if kp != k + 1:
-            A[[k + 1, kp], :] = A[[kp, k + 1], :]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
-            pf = -pf
-        if A[k + 1, k] == 0.0:
-            return 0.0
-        pf *= A[k, k + 1]
-        if k + 2 < n:
-            tau = A[k, k + 2:] / A[k, k + 1]
-            A[k + 2:, k + 2:] += np.outer(tau, A[k + 2:, k + 1])
-            A[k + 2:, k + 2:] -= np.outer(A[k + 2:, k + 1], tau)
-    return float(pf)
+    batch = int(np.prod(A.shape[:-2]))
+    # a copy with the batch axis last: every step below, and the skew check,
+    # then runs along contiguous rows
+    a = np.moveaxis(A.reshape((batch, n, n)), 0, -1).astype(
+        np.result_type(A.dtype, float), order="C")
+    check_skew(np.moveaxis(a, -1, 0), tol=tol)
+    rows = np.arange(batch)
+    pf = np.ones(batch, dtype=a.dtype)
+    for k in range(0, n - 2, 2):
+        # pivot: largest entry in column k below the diagonal; swap it into
+        # row and column k + 1 (earlier rows and columns are done with)
+        kp = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
+        pf[kp != k + 1] *= -1.0
+        row = a[k + 1, k:].copy()
+        a[k + 1, k:] = a[kp, k:, rows].T
+        a[kp, k:, rows] = row.T
+        col = a[k:, k + 1].copy()
+        a[k:, k + 1] = a[k:, kp, rows]
+        a[k:, kp, rows] = col
+        piv = a[k, k + 1]
+        pf *= piv
+        # a zero pivot column means Pf = 0; dividing by 1 keeps the rest of
+        # that matrix finite
+        tau = a[k, k + 2:] / np.where(piv == 0.0, 1.0, piv)
+        col = a[k + 2:, k + 1]
+        a[k + 2:, k + 2:] += tau[:, None] * col[None, :]
+        a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
+    if n:
+        pf *= a[n - 2, n - 1]
+    if A.ndim == 2:
+        return pf[0].item()
+    return pf.reshape(A.shape[:-2])

@@ -19,14 +19,13 @@ class SDEConfig:
     dt: float = None
     start: np.ndarray = None   # None: bootstrap from the origin
     eps_gap: float = 1e-8
-    fd_step: float = 1e-4      # drift finite-difference scale
     max_halvings: int = 20
 
     def __post_init__(self):
         if self.dt is None:
             self.dt = self.horizon / 1024.0
-        if self.dt <= 0 or self.eps_gap <= 0 or self.fd_step <= 0:
-            raise ValueError("dt, eps_gap and fd_step must be positive")
+        if self.dt <= 0 or self.eps_gap <= 0:
+            raise ValueError("dt and eps_gap must be positive")
         if self.start is not None:
             self.start = np.asarray(self.start, dtype=float)
             if np.any(np.diff(self.start) <= 0):
@@ -56,34 +55,19 @@ def dyson_drift(x):
     return (1.0 / diff).sum(axis=2)
 
 
-def _drift_bT_batch(t, x, T, fd_step):
-    """Central finite difference of ln survival(T - t, .), batched (m, n)."""
-    s = T - t
-    m, n = x.shape
-    if n == 1:
-        return np.zeros_like(x)
-    gaps = np.diff(x, axis=1).min(axis=1)
-    h = np.minimum(fd_step * (1.0 + np.abs(x).max(axis=1)), 0.4 * gaps)
-    out = np.empty_like(x)
-    for i in range(n):
-        xp = x.copy()
-        xp[:, i] += h
-        xm = x.copy()
-        xm[:, i] -= h
-        sp = densities.survival_pfaffian(s, xp)
-        sm = densities.survival_pfaffian(s, xm)
-        out[:, i] = (np.log(sp) - np.log(sm)) / (2.0 * h)
-    return out
+def _drift_bT_batch(t, x, T):
+    """Exact gradient of ln survival(T - t, .), batched (m, n)."""
+    return densities.survival_log_gradient(T - t, x)
 
 
-def drift_bT(t, x, T, h=1e-4):
+def drift_bT(t, x, T):
     """Drift of the finite-horizon system at time t and state x."""
     if t >= T:
         raise ValueError("drift is only defined for t < T")
     x = np.asarray(x, dtype=float)
     if np.any(np.diff(x) <= 0):
         raise ValueError("state must be strictly ordered")
-    return _drift_bT_batch(t, x[None, :], T, h)[0]
+    return _drift_bT_batch(t, x[None, :], T)[0]
 
 
 def _ordered_ok(y, eps):
@@ -179,7 +163,7 @@ def simulate_noncolliding(cfg, t_end, seed, reps=1):
         raise ValueError("t_end must not exceed the horizon")
 
     def drift(t, x):
-        return _drift_bT_batch(t, x, T, cfg.fd_step)
+        return _drift_bT_batch(t, x, T)
 
     def bootstrap(t1, gens):
         out = np.empty((len(gens), cfg.n))

@@ -113,6 +113,11 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run(["verify", "nosuch"])
 
+    def test_threads_flag_rejected(self, capsys):
+        # the suites run in one thread; the flag used to be parsed and ignored
+        with pytest.raises(SystemExit):
+            run(["verify", "hc", "--threads", "4"])
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path):

@@ -83,6 +83,25 @@ class TestSurvival:
         for k in range(2):
             assert batch[k] == pytest.approx(
                 densities.survival_pfaffian(0.8, xs[k]))
+        rng = substream(21)
+        for n in (5, 6, 7, 8):
+            xs = np.cumsum(0.2 + rng.random(size=(30, n)), axis=1)
+            batch = densities.survival_pfaffian(0.8, xs)
+            assert batch.shape == (30,)
+            for k in range(30):
+                assert batch[k] == pytest.approx(
+                    densities.survival_pfaffian(0.8, xs[k]), rel=1e-12)
+
+    def test_log_gradient_batch_matches_scalar(self):
+        rng = substream(22)
+        for n in (2, 3, 4, 5, 8):
+            xs = np.cumsum(0.2 + rng.random(size=(6, n)), axis=1)
+            batch = densities.survival_log_gradient(0.8, xs)
+            assert batch.shape == (6, n)
+            for k in range(6):
+                np.testing.assert_allclose(
+                    batch[k], densities.survival_log_gradient(0.8, xs[k]),
+                    rtol=1e-12)
 
 
 class TestHTransformDensity:

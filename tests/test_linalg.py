@@ -10,6 +10,32 @@ def random_skew(n, rng):
     return b - b.T
 
 
+def random_skew_stack(size, n, rng):
+    b = rng.normal(size=(size, n, n))
+    return b - np.swapaxes(b, -1, -2)
+
+
+def pfaffian_reference(a):
+    """One matrix at a time: Parlett-Reid with partial pivoting."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if kp != k + 1:
+            a[[k + 1, kp], :] = a[[kp, k + 1], :]
+            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
+            pf = -pf
+        if a[k + 1, k] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k, k + 2:] / a[k, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
+            a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
+    return pf
+
+
 def random_hermitian(n, rng):
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (b + b.conj().T) / 2
@@ -145,22 +171,71 @@ class TestPfaffian:
             linalg.pfaffian(a)
 
 
-class TestDeterminant:
-    def test_identity(self):
-        assert linalg.determinant(np.eye(3)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert linalg.determinant(np.diag([2.0, 5.0])) == pytest.approx(10.0)
-
-    def test_inverse_product(self):
+class TestPfaffianStack:
+    def test_matches_reference_and_2d_path(self):
         rng = substream(8)
-        m = rng.normal(size=(5, 5)) + np.eye(5) * 2
-        assert linalg.determinant(m) * linalg.determinant(
-            np.linalg.inv(m)) == pytest.approx(1.0, rel=1e-10)
+        for n in range(2, 11, 2):
+            a = random_skew_stack(40, n, rng)
+            pf = linalg.pfaffian(a)
+            assert pf.shape == (40,)
+            # same arithmetic in the same order: equal, not just close
+            np.testing.assert_array_equal(
+                pf, [pfaffian_reference(m) for m in a])
+            np.testing.assert_array_equal(
+                pf, [linalg.pfaffian(m) for m in a])
+            np.testing.assert_allclose(pf * pf, np.linalg.det(a), rtol=1e-8)
 
-    def test_rejects_non_square(self):
+    def test_leading_batch_shape(self):
+        a = random_skew_stack(12, 6, substream(9)).reshape(3, 4, 6, 6)
+        pf = linalg.pfaffian(a)
+        assert pf.shape == (3, 4)
+        assert pf[2, 1] == linalg.pfaffian(a[2, 1])
+
+    def test_mixed_pivoting(self):
+        # block-diagonal matrices need no pivot; a symmetric permutation of
+        # one forces pivots and multiplies Pf by det(P)
+        rng = substream(10)
+        base = np.zeros((6, 6))
+        for k, v in zip((0, 2, 4), (2.0, -3.0, 0.5)):
+            base[k, k + 1], base[k + 1, k] = v, -v
+        perm = np.eye(6)[[0, 3, 5, 1, 2, 4]]
+        other = random_skew(6, rng)
+        a = np.stack([base, perm @ base @ perm.T, other, base])
+        pf = linalg.pfaffian(a)
+        assert pf[0] == pf[3] == pytest.approx(-3.0)
+        assert pf[1] == pytest.approx(np.linalg.det(perm) * -3.0, rel=1e-12)
+        assert pf[2] == pytest.approx(pfaffian_reference(other), rel=1e-12)
+
+    def test_zero_pivot_column_gives_zero(self):
+        a = random_skew_stack(3, 6, substream(11))
+        a[1, 0, :] = 0.0
+        a[1, :, 0] = 0.0
+        pf = linalg.pfaffian(a)
+        assert pf[1] == 0.0
+        assert np.all(np.isfinite(pf))
+        assert pf[0] == pytest.approx(pfaffian_reference(a[0]), rel=1e-12)
+        assert pf[2] == pytest.approx(pfaffian_reference(a[2]), rel=1e-12)
+
+    def test_complex_square_is_determinant(self):
+        rng = substream(12)
+        b = rng.normal(size=(20, 6, 6)) + 1j * rng.normal(size=(20, 6, 6))
+        a = b - np.swapaxes(b, -1, -2)
+        pf = linalg.pfaffian(a)
+        np.testing.assert_allclose(pf * pf, np.linalg.det(a), rtol=1e-10)
+
+    def test_rejects_odd_stack(self):
         with pytest.raises(ValueError):
-            linalg.determinant(np.ones((2, 3)))
+            linalg.pfaffian(random_skew_stack(4, 5, substream(13)))
+
+    def test_rejects_non_skew_stack(self):
+        a = random_skew_stack(4, 6, substream(14))
+        a[2, 0, 3] += 1.0
+        with pytest.raises(ValueError):
+            linalg.pfaffian(a)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            linalg.pfaffian(np.zeros((4, 6, 4)))
 
 
 class TestWeylVector:

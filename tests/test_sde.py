@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from noncolbm import paths, sde, verify
+from noncolbm import densities, paths, sde, verify
 from noncolbm.rng import substream
 
 
@@ -64,15 +64,63 @@ class TestDrift:
         d = sde.dyson_drift(x[None, :])[0]
         assert b[1] / d[1] == pytest.approx(1.0, abs=0.1)
 
-    def test_bt_finite_difference_order(self):
-        T, t = 2.0, 0.5
-        x = np.array([-0.6, 0.7])
-        exact = drift_bt_closed_form_n2(T - t, x[1] - x[0])
-        errs = []
-        for h in (2e-2, 1e-2):
-            errs.append(abs(sde.drift_bT(t, x, T, h=h)[1] - exact))
-        order = math.log2(errs[0] / errs[1])
-        assert order >= 1.9
+    def test_bt_exact_n2(self):
+        T = 2.0
+        for t, gap in ((0.5, 1.3), (1.9, 0.05), (0.0, 1e-4), (1.0, 6.0)):
+            x = np.array([-0.6, -0.6 + gap])
+            expected = drift_bt_closed_form_n2(T - t, gap)
+            b = sde.drift_bT(t, x, T)
+            assert b[1] == pytest.approx(expected, rel=1e-12)
+            assert b[0] == pytest.approx(-expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_bt_matches_log_survival_difference(self, n):
+        # 4th-order central difference of ln survival, h = 1e-3, gaps >= 0.3
+        rng = substream(51, n)
+        h = 1e-3
+        for _ in range(5):
+            x = np.cumsum(0.3 + rng.random(n)) - 0.8 * n
+            t, T = 0.3 * rng.random(), 1.0 + rng.random()
+
+            def log_surv(k, d):
+                y = x.copy()
+                y[k] += d
+                return math.log(densities.survival_pfaffian(T - t, y))
+
+            fd = np.array([(-log_surv(k, 2 * h) + 8 * log_surv(k, h)
+                            - 8 * log_surv(k, -h) + log_surv(k, -2 * h))
+                           / (12 * h) for k in range(n)])
+            np.testing.assert_allclose(sde.drift_bT(t, x, T), fd, rtol=1e-8,
+                                       atol=1e-8 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("x, rtol, atol", [
+        # a gap of 1e-3 between the third and fourth particle
+        ([-2.0, -1.0, 0.0, 1e-3, 1.0 + 1e-3], 1e-8, 0.0),
+        # all five particles within 0.2 at s = 1 (drift up to 43): the
+        # bordered erf matrix has condition number ~1e11 and Pf ~1e-14
+        ([-0.1, -0.047, 0.003, 0.052, 0.1], 1e-5, 1e-4),
+    ])
+    def test_bt_against_high_precision_determinant(self, x, rtol, atol):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            # d_k ln Pf(A) = 1/2 d_k ln det(A) = 1/2 tr(A^-1 d_k A)
+            n, s = len(x), mp.mpf(1)
+            xm = [mp.mpf(v) for v in x]
+            a = mp.matrix(n + 1, n + 1)
+            g = mp.matrix(n, n)
+            for i in range(n):
+                a[i, n], a[n, i] = 1, -1
+                for j in range(n):
+                    u = (xm[j] - xm[i]) / (2 * mp.sqrt(s))
+                    a[i, j] = mp.erf(u)
+                    if i != j:
+                        g[i, j] = mp.exp(-u * u) / mp.sqrt(mp.pi * s)
+            inv = a ** -1
+            ref = np.array([float(mp.fsum(inv[k, j] * g[k, j]
+                                          for j in range(n)))
+                            for k in range(n)])
+        b = sde.drift_bT(0.0, np.array(x), 1.0)
+        np.testing.assert_allclose(b, ref, rtol=rtol, atol=atol)
 
     def test_bt_rejects_t_at_horizon(self):
         with pytest.raises(ValueError):
