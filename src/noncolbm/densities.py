@@ -3,6 +3,7 @@ Gaussian matrix ensembles, plus the no-collision survival probability with
 three independent evaluation strategies (Pfaffian, quadrature, Monte Carlo).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,10 +160,19 @@ def survival_log_gradient(t, x):
     return pf.imag / (_COMPLEX_STEP * pf.real)
 
 
+@functools.lru_cache(maxsize=32)
+def _legendre_rule(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count and shared read-only."""
+    u, w = leggauss(n_nodes)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def chamber_points(n_dim, lo, hi, n_nodes):
     """Tensor-product Gauss-Legendre nodes/weights on the truncated chamber
     {lo < y_1 < ... < y_n < hi}.  Returns (points (M, n), weights (M,))."""
-    u, w = leggauss(n_nodes)
+    u, w = _legendre_rule(n_nodes)
     pts = np.zeros((1, 0))
     wts = np.ones(1)
     upper = np.array([float(hi)])

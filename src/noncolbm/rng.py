@@ -2,8 +2,9 @@
 
 Every sampler takes an explicit generator or a (seed, key...) pair; a given
 master seed plus key path always yields the same stream, independent of how
-many other streams were drawn, so replicates can be generated in parallel
-and still be reproducible.
+many other streams were drawn.  Callers that give each replicate its own key
+can generate replicates in any order; the SDE integrators instead draw all
+replicates of a call from one stream, in a fixed order.
 """
 
 import numpy as np

@@ -129,13 +129,12 @@ def marginals_suite(n=2, horizon=1.0, times=None, reps=10_000, seed=0,
             paths.sample_xit_marginal(n, t, T, reps,
                                       substream(seed, 10_000 + idx)))
         st = res.at_time(t)
-        m = min(len(st), len(ev))
         for i in range(n):
             r = ks_two_sample(st[:, i], ev[:, i])
             tests.append({"name": f"t={t:g} coord {i}",
                           "statistic": r.statistic, "p_value": r.p_value,
                           "pass": r.p_value > P_THRESHOLD})
-        r = ks_two_sample(st.ravel(), ev.ravel(), n_eff=(m, m))
+        r = ks_two_sample(st.ravel(), ev.ravel(), n_eff=(reps, reps))
         tests.append({"name": f"t={t:g} pooled", "statistic": r.statistic,
                       "p_value": r.p_value,
                       "pass": r.p_value > P_THRESHOLD})
@@ -167,9 +166,9 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     res_y = sde.simulate_dyson(cfg, T, seed=seed, reps=reps)
     res_x = sde.simulate_noncolliding(cfg, T, seed=seed + 1, reps=reps)
     y_end = res_y.at_time(T)
-    y_mid = res_y.states[~res_y.failed][:, _t_index(res_y.times, T / 2), :]
+    y_mid = res_y.at_time(T / 2)
     x_end = res_x.at_time(T)
-    x_mid = res_x.states[~res_x.failed][:, _t_index(res_x.times, T / 2), :]
+    x_mid = res_x.at_time(T / 2)
     w = const / densities.vandermonde_batch(y_end)
 
     tests = []
@@ -201,10 +200,6 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
             "seed": seed, "constant": const, "tests": tests,
             "failures": n_fail, "allowed_failures": 0,
             "passed": n_fail == 0}
-
-
-def _t_index(times, t):
-    return int(np.argmin(np.abs(times - t)))
 
 
 def hc_suite(samples=100_000, seed=0):

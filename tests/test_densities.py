@@ -104,6 +104,30 @@ class TestSurvival:
                     rtol=1e-12)
 
 
+class TestChamberRule:
+    def test_cached_rule_gives_identical_points_and_integrals(self):
+        def density(y):
+            return densities.eigenvalue_density("goe", y, 1.0)
+
+        densities._legendre_rule.cache_clear()
+        pts, wts = densities.chamber_points(3, -4.0, 4.0, 12)
+        mass = densities.chamber_integrate(density, 2, -8.0, 8.0)
+        assert densities._legendre_rule.cache_info().hits == 0
+        pts2, wts2 = densities.chamber_points(3, -4.0, 4.0, 12)
+        mass2 = densities.chamber_integrate(density, 2, -8.0, 8.0)
+        assert densities._legendre_rule.cache_info().hits >= 3
+        np.testing.assert_array_equal(pts2, pts)
+        np.testing.assert_array_equal(wts2, wts)
+        assert mass2 == mass
+
+    def test_cached_rule_is_read_only(self):
+        u, w = densities._legendre_rule(7)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 class TestHTransformDensity:
     def test_n1_origin_is_heat_kernel(self):
         assert densities.h_transform_density(0, None, 2.0, [0.9]) == \

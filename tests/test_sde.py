@@ -193,9 +193,88 @@ class TestIntegration:
                                  n_eff=(reps, reps))
         assert r.p_value > 0.01
 
-    def test_at_time_excludes_failed(self):
+    def test_at_time_refuses_failed(self):
         times = np.array([0.0, 0.5, 1.0])
         states = np.arange(12, dtype=float).reshape(2, 3, 2)
         failed = np.array([False, True])
         res = sde.SimResult(times, states, failed)
-        assert res.at_time(1.0).shape == (1, 2)
+        with pytest.raises(ValueError, match="1 of 2 replicates failed"):
+            res.at_time(1.0)
+        res.failed[:] = False
+        np.testing.assert_array_equal(res.at_time(1.0), states[:, 2, :])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_no_flagged_replicates_from_origin(self, n):
+        # early steps from the origin, where the gaps are of order sqrt(dt)
+        cfg = sde.SDEConfig(n=n, horizon=1.0, dt=1.0 / 1024)
+        for simulate in (sde.simulate_dyson, sde.simulate_noncolliding):
+            res = simulate(cfg, 64 / 1024, seed=52 + n, reps=10_000)
+            assert res.failed.sum() == 0
+            assert np.isfinite(res.states).all()
+            assert (np.diff(res.states[:, 1:, :], axis=-1) > 0).all()
+
+    def test_euler_bias_against_matrix_eigenvalues_n4(self):
+        # no closed-form marginals at N=4: the eigenvalues of the
+        # finite-horizon matrix process have the exact law of the states
+        T, reps = 1.0, 2_000
+        cfg = sde.SDEConfig(n=4, horizon=T, dt=T / 256)
+        for seed in (53, 53 + 777_001):
+            st = sde.simulate_noncolliding(cfg, T / 2, seed=seed,
+                                           reps=reps).at_time(T / 2)
+            ev = np.linalg.eigvalsh(paths.sample_xit_marginal(
+                4, T / 2, T, reps, substream(seed, 1)))
+            ok = all(verify.ks_two_sample(st[:, i], ev[:, i]).p_value > 0.01
+                     for i in range(4))
+            if ok:
+                break
+        assert ok
+
+
+def _spaced(n, gap):
+    """n points gap apart, centred at 0."""
+    return gap * (np.arange(n) - 0.5 * (n - 1))
+
+
+class TestImplicitStep:
+    DT = 1.0 / 1024
+
+    def _check(self, a):
+        y, ok = sde.implicit_step(a, self.DT)
+        assert ok.all()
+        assert (np.diff(y, axis=-1) > 0).all()
+        # the implicit equation y = a + dt D(y), relative to each row's scale
+        scale = np.maximum(np.abs(a), np.abs(y)).max(-1, keepdims=True)
+        err = np.abs(y - self.DT * sde.dyson_drift(y) - a) / scale
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_solves_implicit_equation(self, n):
+        rng = substream(54, n)
+        x = np.sort(rng.normal(size=(200, n)), axis=-1)
+        self._check(x + math.sqrt(self.DT) * rng.normal(size=(200, n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_noise_crossing_neighbours_by_ten_gaps(self, n):
+        # every neighbour pair of a is reversed by ten gaps
+        a = np.stack([-10.0 * _spaced(n, gap)
+                      for gap in (1e-6, 1e-3, 0.05, 1.0)])
+        self._check(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gaps_of_one_millionth(self, n):
+        rng = substream(56, n)
+        x = _spaced(n, 1e-6) + rng.normal(size=(50, 1))
+        self._check(x + math.sqrt(self.DT) * rng.normal(size=x.shape))
+        self._check(x)
+
+    def test_n1_is_the_explicit_step(self):
+        a = np.array([[0.3], [-1.2]])
+        y, ok = sde.implicit_step(a, self.DT)
+        assert ok.all()
+        np.testing.assert_array_equal(y, a)
+
+    def test_non_finite_row_is_flagged_not_dropped(self):
+        a = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]])
+        y, ok = sde.implicit_step(a, self.DT)
+        np.testing.assert_array_equal(ok, [True, False])
+        assert y.shape == a.shape
