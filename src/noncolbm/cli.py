@@ -3,7 +3,6 @@ statistical verification suites.  Every run echoes its effective
 configuration and seed so results can be reproduced bitwise."""
 
 import argparse
-import concurrent.futures as cf
 import hashlib
 import json
 import os
@@ -14,11 +13,13 @@ import numpy as np
 from . import densities, paths, sde, verify
 from .rng import substream
 
-FMT = "%.17g"
 
-
-def _fmt(v):
-    return FMT % float(v)
+def _csv_lines(data):
+    """CSV text of a 2-D float array, every value as "%.17g", one string per
+    256 rows, so that no more than those rows are held as Python floats."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for i in range(0, data.shape[0], 256):
+        yield "".join(row % tuple(r) for r in data[i:i + 256].tolist())
 
 
 def _parse_point(s):
@@ -70,12 +71,21 @@ def _echo_header(cfg):
         + "# digest " + _digest(cfg) + "\n"
 
 
-def _write_csv(path, header_cfg, columns, rows):
+def _write_csv(path, header_cfg, columns, data):
     with open(path, "w", newline="\n") as fh:
         fh.write(_echo_header(header_cfg))
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(_csv_lines(data))
+
+
+def _rep_rows(reps, k, width):
+    """Empty (reps, k, width) CSV rows, plus the column the data starts at:
+    with several replicates, column 0 holds the replicate index."""
+    lead = 1 if reps > 1 else 0
+    data = np.empty((reps, k, lead + width))
+    if lead:
+        data[:, :, 0] = np.arange(reps)[:, None]
+    return data, lead
 
 
 def cmd_simulate(args, config):
@@ -84,7 +94,6 @@ def cmd_simulate(args, config):
     T = _effective(args, config, "horizon", 1.0, float)
     steps = _effective(args, config, "steps", 256, int)
     reps = _effective(args, config, "reps", 1, int)
-    threads = _effective(args, config, "threads", os.cpu_count() or 1, int)
     seed = _resolve_seed(args, config)
     out = args.out or f"{model}.csv"
     cfg = {"command": "simulate", "model": model, "n": n, "horizon": T,
@@ -98,13 +107,10 @@ def cmd_simulate(args, config):
         res = sim(sde_cfg, T, seed=seed, reps=reps)
         columns = (["rep"] if reps > 1 else []) + ["time"] \
             + [f"x{i+1}" for i in range(n)]
-        rows = []
-        for r in range(reps):
-            for k, t in enumerate(res.times):
-                row = ([r] if reps > 1 else []) + [t] \
-                    + list(res.states[r, k, :])
-                rows.append(row)
-        _write_csv(out, cfg, columns, rows)
+        data, lead = _rep_rows(reps, res.times.size, 1 + n)
+        data[:, :, lead] = res.times
+        data[:, :, lead + 1:] = res.states
+        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]))
         inc = np.diff(res.states[:, 1:, :], axis=1)
         print("summary: replicates=%d failed=%d increment_var=%.6g "
               "(expected ~ dt=%.6g)"
@@ -112,24 +118,17 @@ def cmd_simulate(args, config):
                  float(inc.var()) if inc.size else float("nan"), T / steps))
     elif model in ("gue", "goe", "xit"):
         grid = paths.TimeGrid.uniform(T, steps)
-
-        def one(r):
+        data, lead = _rep_rows(reps, steps + 1, 1 + 2 * n * n)
+        for r in range(reps):
             mp = paths.build_matrix_process(
                 model, n, grid, substream(seed, r),
                 T=T if model == "xit" else None)
-            return paths.matrix_path_csv_rows(mp)
-
-        with cf.ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-            all_rows = list(ex.map(one, range(reps)))
+            data[r, :, lead:] = paths.matrix_path_csv_rows(mp)
         columns = (["rep"] if reps > 1 else []) + ["time"]
         for i in range(n):
             for j in range(n):
                 columns += [f"re{i+1}{j+1}", f"im{i+1}{j+1}"]
-        rows = []
-        for r, rws in enumerate(all_rows):
-            for row in rws:
-                rows.append(([r] if reps > 1 else []) + row)
-        _write_csv(out, cfg, columns, rows)
+        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]))
         print("summary: replicates=%d grid_points=%d" % (reps, steps + 1))
     else:
         print("unknown model %r" % model, file=sys.stderr)
@@ -202,10 +201,10 @@ def cmd_density(args, config):
             full_rows.append(pt + rows[idx])
             idx += 1
     columns = point_cols + columns
+    data = np.array(full_rows, dtype=float)
     if out:
-        _write_csv(out, cfg, columns, full_rows)
-    for row in full_rows:
-        print(",".join(_fmt(v) for v in row))
+        _write_csv(out, cfg, columns, data)
+    print("".join(_csv_lines(data)), end="")
     return 0
 
 
@@ -276,7 +275,6 @@ def build_parser():
     ps.add_argument("--steps", type=int)
     ps.add_argument("--reps", type=int)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--threads", type=int)
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_simulate)
 

@@ -95,7 +95,8 @@ def _erf_matrix(t, xs):
 
 
 def _pfaffian(e):
-    """Pfaffian of each matrix of a stack (..., m, m) of even dimension."""
+    """Pfaffian of each matrix of a stack (..., m, m) of even dimension,
+    skew-symmetric by construction, so not checked again."""
     m = e.shape[-1]
     # the 2 x 2 and 4 x 4 closed forms are cheaper than the reduction
     if m == 2:
@@ -104,7 +105,7 @@ def _pfaffian(e):
         return (e[..., 0, 1] * e[..., 2, 3]
                 - e[..., 0, 2] * e[..., 1, 3]
                 + e[..., 0, 3] * e[..., 1, 2])
-    return linalg.pfaffian(e, tol=1e-9)
+    return linalg._pfaffian_batch(e)
 
 
 def survival_pfaffian(t, x):

@@ -100,18 +100,22 @@ def pfaffian(A, tol=HERMITIAN_TOL):
     pivoting on its own.  Returns a scalar for one matrix (a float for real
     input), an array of shape A.shape[:-2] for a stack.
     """
-    A = np.asarray(A)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError("matrix must be square")
-    n = A.shape[-1]
-    if n % 2 != 0:
+    A = check_skew(A, tol=tol)
+    if A.shape[-1] % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
+    pf = _pfaffian_batch(A)
+    return pf.item() if A.ndim == 2 else pf
+
+
+def _pfaffian_batch(A):
+    """Pfaffians of a stack (..., n, n) of skew-symmetric matrices of even
+    n, unchecked: an array of shape A.shape[:-2]."""
+    n = A.shape[-1]
     batch = int(np.prod(A.shape[:-2]))
-    # a copy with the batch axis last: every step below, and the skew check,
-    # then runs along contiguous rows
+    # a copy with the batch axis last: every step below then runs along
+    # contiguous rows
     a = np.moveaxis(A.reshape((batch, n, n)), 0, -1).astype(
         np.result_type(A.dtype, float), order="C")
-    check_skew(np.moveaxis(a, -1, 0), tol=tol)
     rows = np.arange(batch)
     pf = np.ones(batch, dtype=a.dtype)
     for k in range(0, n - 2, 2):
@@ -135,6 +139,4 @@ def pfaffian(A, tol=HERMITIAN_TOL):
         a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
     if n:
         pf *= a[n - 2, n - 1]
-    if A.ndim == 2:
-        return pf[0].item()
     return pf.reshape(A.shape[:-2])

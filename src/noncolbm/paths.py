@@ -1,8 +1,8 @@
 """Samplers for scalar Brownian motions and bridges, the Hermitian
 matrix-valued processes built from them, the endpoint-pinned variant, and the
-bridge + endpoint decomposition.  Bridges are sampled by the exact Gaussian
-conditional construction, so the finite-dimensional laws are exact on any
-grid."""
+bridge + endpoint decomposition.  Bridges are sampled by the exact identity
+bridge(t) = W(t) - (t/T)(W(T) - b), so the finite-dimensional laws are exact
+on any grid."""
 
 import math
 from dataclasses import dataclass
@@ -40,66 +40,66 @@ class TimeGrid:
 
 
 @dataclass
-class ScalarPath:
-    grid: TimeGrid
-    values: np.ndarray
-
-
-@dataclass
 class MatrixPath:
     grid: TimeGrid
     values: np.ndarray  # (K, N, N) complex, Hermitian at every time
 
 
-def sample_brownian(grid, rng, start=0.0):
-    """Standard Brownian path on the grid (independent Gaussian increments)."""
-    gen = as_generator(rng)
-    t = grid.times
-    inc = gen.normal(size=t.size - 1) * np.sqrt(np.diff(t))
-    vals = start + np.concatenate([[0.0], np.cumsum(inc)])
-    return ScalarPath(grid, vals)
+def _hermitian(diag, upper):
+    """Hermitian (or real symmetric) stack (..., n, n) from its diagonal
+    (n, ...) and its strict upper triangle (n(n-1)/2, ...), entries along
+    the leading axis, the triangle in np.triu_indices(n, 1) order."""
+    n = diag.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    out = np.zeros(diag.shape[1:] + (n, n), dtype=np.result_type(diag, upper))
+    out[..., np.arange(n), np.arange(n)] = np.moveaxis(diag, 0, -1)
+    out[..., iu, ju] = np.moveaxis(upper, 0, -1)
+    out[..., ju, iu] = np.moveaxis(np.conj(upper), 0, -1)
+    return out
 
 
-def sample_bridge(grid, T, endpoint, rng):
-    """Brownian bridge of duration T from 0 to endpoint, sampled on the grid
-    by sequential exact Gaussian conditioning."""
-    gen = as_generator(rng)
-    t = grid.times
-    if t[-1] > T + 1e-12:
-        raise ValueError("grid extends beyond the bridge duration")
-    vals = np.empty(t.size)
-    vals[0] = 0.0
-    for k in range(t.size - 1):
-        remain = T - t[k]
-        dt = t[k + 1] - t[k]
-        if abs(t[k + 1] - T) < 1e-14:
-            vals[k + 1] = endpoint
-            continue
-        mean = vals[k] + (endpoint - vals[k]) * dt / remain
-        var = dt * (T - t[k + 1]) / remain
-        vals[k + 1] = mean + math.sqrt(var) * gen.normal()
-    return ScalarPath(grid, vals)
-
-
-def _bridge_batch(times, T, endpoints, gen):
-    """Exact bridges from 0 to each endpoint, vectorized: (m, K) values."""
-    m = endpoints.size
-    vals = np.zeros((m, times.size))
-    for k in range(times.size - 1):
-        remain = T - times[k]
-        dt = times[k + 1] - times[k]
-        if abs(times[k + 1] - T) < 1e-14:
-            vals[:, k + 1] = endpoints
-            continue
-        mean = vals[:, k] + (endpoints - vals[:, k]) * dt / remain
-        var = dt * (T - times[k + 1]) / remain
-        vals[:, k + 1] = mean + math.sqrt(var) * gen.normal(size=m)
-    return vals
+def _hermitian_path(n, real, imag):
+    """(K, n, n) path from the real parts (n(n+1)/2, K) of the upper triangle
+    with the diagonal, in np.triu_indices(n) order, and the imaginary parts
+    (n(n-1)/2, K) of the strict upper triangle.  An off-diagonal entry is
+    (re + i im)/sqrt(2)."""
+    iu, ju = np.triu_indices(n)
+    on = iu == ju
+    return _hermitian(real[on], (real[~on] + 1j * imag) / math.sqrt(2.0))
 
 
 def _brownian_batch(times, m, gen):
+    """m independent standard Brownian paths on the grid: (m, K) values."""
     inc = gen.normal(size=(m, times.size - 1)) * np.sqrt(np.diff(times))
     return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+
+
+def _bridge_batch(times, T, endpoints, gen):
+    """Bridges of duration T from 0 to each endpoint: (m, K) values on the
+    grid, by the exact identity bridge(t) = W(t) - (t/T)(W(T) - b).  A grid
+    ending at T ends exactly at the endpoints."""
+    if times[-1] > T + 1e-12:
+        raise ValueError("grid extends beyond the bridge duration")
+    at_end = abs(times[-1] - T) < 1e-14
+    w = _brownian_batch(times if at_end else np.append(times, T),
+                        endpoints.size, gen)
+    vals = w[:, :times.size] - (times / T) * (w[:, -1:] - endpoints[:, None])
+    if at_end:
+        vals[:, -1] = endpoints
+    return vals
+
+
+def sample_brownian(grid, rng, start=0.0):
+    """Standard Brownian path on the grid (independent Gaussian increments):
+    its (K,) values."""
+    return start + _brownian_batch(grid.times, 1, as_generator(rng))[0]
+
+
+def sample_bridge(grid, T, endpoint, rng):
+    """Brownian bridge of duration T from 0 to endpoint: its (K,) values on
+    the grid."""
+    return _bridge_batch(grid.times, T, np.array([float(endpoint)]),
+                         as_generator(rng))[0]
 
 
 @dataclass
@@ -115,63 +115,23 @@ class XiTDrivers:
     bridges: np.ndarray    # (n_pairs_lt, K) bridge values on grid
 
 
-def pairs_upper(n, include_diag):
-    k = 0 if include_diag else 1
-    iu, ju = np.triu_indices(n, k=k)
-    return list(zip(iu.tolist(), ju.tolist()))
-
-
 def sample_xit_drivers(n, grid, T, rng):
     """Sample the independent scalar drivers of the finite-horizon process."""
     gen = as_generator(rng)
     times = grid.times
     if times[-1] > T + 1e-12:
         raise ValueError("grid extends beyond the horizon")
-    leq = pairs_upper(n, include_diag=True)
-    lt = pairs_upper(n, include_diag=False)
     # Brownian drivers, extended to the horizon for the decomposition
-    if abs(times[-1] - T) < 1e-14:
-        ext = times
-    else:
-        ext = np.concatenate([times, [T]])
-    bre = _brownian_batch(ext, len(leq), gen)
-    breal = bre[:, :times.size]
-    breal_end = bre[:, -1]
-    bridges = _bridge_batch(times, T, np.zeros(len(lt)), gen)
-    return XiTDrivers(n, grid, T, breal, breal_end, bridges)
-
-
-def _assemble(n, times_count, diag, offre, offim):
-    """Hermitian path (K, n, n) from per-pair scalar paths (pairs, K)."""
-    out = np.zeros((times_count, n, n), dtype=complex)
-    leq = pairs_upper(n, include_diag=True)
-    lt = pairs_upper(n, include_diag=False)
-    di = 0
-    for idx, (i, j) in enumerate(leq):
-        if i == j:
-            out[:, i, i] = diag[di]
-            di += 1
-    for idx, (i, j) in enumerate(lt):
-        z = (offre[idx] + 1j * offim[idx]) / math.sqrt(2.0)
-        out[:, i, j] = z
-        out[:, j, i] = np.conj(z)
-    return out
-
-
-def _split_leq(n, paths_leq):
-    """Split (pairs_leq, K) into diagonal (n, K) and off-diagonal rows."""
-    leq = pairs_upper(n, include_diag=True)
-    diag_rows = [k for k, (i, j) in enumerate(leq) if i == j]
-    off_rows = [k for k, (i, j) in enumerate(leq) if i != j]
-    return paths_leq[diag_rows], paths_leq[off_rows]
+    ext = times if abs(times[-1] - T) < 1e-14 else np.append(times, T)
+    bre = _brownian_batch(ext, n * (n + 1) // 2, gen)
+    bridges = _bridge_batch(times, T, np.zeros(n * (n - 1) // 2), gen)
+    return XiTDrivers(n, grid, T, bre[:, :times.size], bre[:, -1], bridges)
 
 
 def xit_from_drivers(drivers):
     """Assemble the finite-horizon Hermitian process from its drivers."""
-    diag, offre = _split_leq(drivers.n, drivers.breal)
-    return MatrixPath(drivers.grid,
-                      _assemble(drivers.n, drivers.grid.times.size,
-                                diag, offre, drivers.bridges))
+    return MatrixPath(drivers.grid, _hermitian_path(
+        drivers.n, drivers.breal, drivers.bridges))
 
 
 def build_matrix_process(kind, n, grid, rng, T=None):
@@ -184,24 +144,17 @@ def build_matrix_process(kind, n, grid, rng, T=None):
     gen = as_generator(rng)
     kind = kind.lower()
     times = grid.times
-    n_lt = len(pairs_upper(n, include_diag=False))
-    n_leq = len(pairs_upper(n, include_diag=True))
     if kind == "xit":
         if T is None:
             raise ValueError("xit needs a horizon T")
         return xit_from_drivers(sample_xit_drivers(n, grid, T, gen))
-    if kind == "gue":
-        bre = _brownian_batch(times, n_leq, gen)
-        bim = _brownian_batch(times, n_lt, gen)
-        diag, offre = _split_leq(n, bre)
-        return MatrixPath(grid, _assemble(n, times.size, diag, offre, bim))
-    if kind == "goe":
-        bre = _brownian_batch(times, n_leq, gen)
-        diag, offre = _split_leq(n, bre)
-        zero = np.zeros((n_lt, times.size))
-        vals = _assemble(n, times.size, diag, offre, zero)
-        return MatrixPath(grid, vals)
-    raise ValueError("unknown process kind %r" % (kind,))
+    if kind not in ("gue", "goe"):
+        raise ValueError("unknown process kind %r" % (kind,))
+    n_lt = n * (n - 1) // 2
+    bre = _brownian_batch(times, n * (n + 1) // 2, gen)
+    bim = (_brownian_batch(times, n_lt, gen) if kind == "gue"
+           else np.zeros((n_lt, times.size)))
+    return MatrixPath(grid, _hermitian_path(n, bre, bim))
 
 
 def build_pinned_process(n, grid, T, H, rng):
@@ -215,32 +168,22 @@ def build_pinned_process(n, grid, T, H, rng):
     if H.shape[0] != n:
         raise ValueError("H has wrong dimension")
     gen = as_generator(rng)
-    times = grid.times
-    leq = pairs_upper(n, include_diag=True)
-    lt = pairs_upper(n, include_diag=False)
-    ends_re = np.array([H[i, j].real * (1.0 if i == j else math.sqrt(2.0))
-                        for (i, j) in leq])
-    ends_im = np.array([H[i, j].imag * math.sqrt(2.0) for (i, j) in lt])
-    bre = _bridge_batch(times, T, ends_re, gen)
-    bim = _bridge_batch(times, T, ends_im, gen)
-    diag, offre = _split_leq(n, bre)
-    return MatrixPath(grid, _assemble(n, times.size, diag, offre, bim))
+    iu, ju = np.triu_indices(n)
+    ends_re = H[iu, ju].real * np.where(iu == ju, 1.0, math.sqrt(2.0))
+    ends_im = H[iu, ju][iu != ju].imag * math.sqrt(2.0)
+    bre = _bridge_batch(grid.times, T, ends_re, gen)
+    bim = _bridge_batch(grid.times, T, ends_im, gen)
+    return MatrixPath(grid, _hermitian_path(n, bre, bim))
 
 
 def theta_decomposition(drivers):
     """Split the finite-horizon process into its bridge part (distributed as
     a complex Hermitian Gaussian ensemble at every fixed time) and the
     endpoint part (real symmetric), summing exactly to the original path."""
-    n, grid, T = drivers.n, drivers.grid, drivers.horizon
-    times = grid.times
-    frac = times / T
-    slope = drivers.breal_end[:, None] * frac[None, :]
-    bridged = drivers.breal - slope
-    diag1, offre1 = _split_leq(n, bridged)
-    theta1 = _assemble(n, times.size, diag1, offre1, drivers.bridges)
-    diag2, offre2 = _split_leq(n, slope)
-    zero = np.zeros_like(drivers.bridges)
-    theta2 = _assemble(n, times.size, diag2, offre2, zero)
+    n, grid = drivers.n, drivers.grid
+    slope = drivers.breal_end[:, None] * (grid.times / drivers.horizon)
+    theta1 = _hermitian_path(n, drivers.breal - slope, drivers.bridges)
+    theta2 = _hermitian_path(n, slope, np.zeros_like(drivers.bridges))
     return MatrixPath(grid, theta1), MatrixPath(grid, theta2)
 
 
@@ -255,30 +198,18 @@ def eigenvalue_path(mp):
 def sample_gue(n, t, size, rng):
     """(size, n, n) Hermitian draws from the GUE law at variance scale t."""
     gen = as_generator(rng)
-    out = np.zeros((size, n, n), dtype=complex)
     d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    for i in range(n):
-        out[:, i, i] = d[:, i]
-    for (i, j) in pairs_upper(n, include_diag=False):
-        z = (gen.normal(scale=math.sqrt(t / 2.0), size=size)
-             + 1j * gen.normal(scale=math.sqrt(t / 2.0), size=size))
-        out[:, i, j] = z
-        out[:, j, i] = np.conj(z)
-    return out
+    z = gen.normal(scale=math.sqrt(t / 2.0),
+                   size=(n * (n - 1) // 2, 2, size))
+    return _hermitian(d.T, z[:, 0] + 1j * z[:, 1])
 
 
 def sample_goe(n, t, size, rng):
     """(size, n, n) symmetric draws from the GOE law at variance scale t."""
     gen = as_generator(rng)
-    out = np.zeros((size, n, n))
     d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    for i in range(n):
-        out[:, i, i] = d[:, i]
-    for (i, j) in pairs_upper(n, include_diag=False):
-        v = gen.normal(scale=math.sqrt(t / 2.0), size=size)
-        out[:, i, j] = v
-        out[:, j, i] = v
-    return out
+    v = gen.normal(scale=math.sqrt(t / 2.0), size=(n * (n - 1) // 2, size))
+    return _hermitian(d.T, v)
 
 
 def sample_xit_marginal(n, t, T, size, rng):
@@ -286,28 +217,20 @@ def sample_xit_marginal(n, t, T, size, rng):
     if not 0 < t <= T:
         raise ValueError("need 0 < t <= T")
     gen = as_generator(rng)
-    out = np.zeros((size, n, n), dtype=complex)
     d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    for i in range(n):
-        out[:, i, i] = d[:, i]
     var_im = t * (T - t) / T
-    for (i, j) in pairs_upper(n, include_diag=False):
-        z = (gen.normal(scale=math.sqrt(t / 2.0), size=size)
-             + 1j * gen.normal(scale=math.sqrt(var_im / 2.0), size=size))
-        out[:, i, j] = z
-        out[:, j, i] = np.conj(z)
-    return out
+    scale = [[math.sqrt(t / 2.0)], [math.sqrt(var_im / 2.0)]]
+    z = gen.normal(scale=scale, size=(n * (n - 1) // 2, 2, size))
+    return _hermitian(d.T, z[:, 0] + 1j * z[:, 1])
 
 
 def matrix_path_csv_rows(mp):
-    """Rows for the CSV dump: time, then entries row-major with real and
-    imaginary parts interleaved."""
-    rows = []
-    for k, t in enumerate(mp.grid.times):
-        row = [t]
-        for i in range(mp.values.shape[1]):
-            for j in range(mp.values.shape[2]):
-                row.append(mp.values[k, i, j].real)
-                row.append(mp.values[k, i, j].imag)
-        rows.append(row)
+    """CSV rows (K, 1 + 2 N^2): time, then the entries row-major with real
+    and imaginary parts interleaved."""
+    k = mp.values.shape[0]
+    entries = mp.values.reshape(k, -1)
+    rows = np.empty((k, 1 + 2 * entries.shape[1]))
+    rows[:, 0] = mp.grid.times
+    rows[:, 1::2] = entries.real
+    rows[:, 2::2] = entries.imag
     return rows

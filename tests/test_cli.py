@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,56 @@ class TestSimulate:
         _, columns, data = read_csv(out)
         assert columns == ["time", "x1", "x2", "x3"]
         assert np.all(np.diff(data[1:, 1:], axis=1) > 0)
+
+    def test_writer_bytes_match_per_value_format(self, tmp_path):
+        vals = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3,
+                float("inf"), float("-inf"), float("nan"), 0.1, -1e300,
+                1.0 / 3.0, 2.0 ** 52 + 1]
+        data = np.array([[r] + vals[r:] + vals[:r] for r in range(600)])
+        out = tmp_path / "w.csv"
+        cli._write_csv(str(out), {}, ["c"] * data.shape[1], data)
+        body = out.read_text().splitlines(keepends=True)[3:]
+        expected = [",".join("%.17g" % float(v) for v in row) + "\n"
+                    for row in data]
+        assert body == expected
+        assert body[2].startswith("2,") and body[599].startswith("599,")
+
+    @pytest.mark.parametrize("model", ["gue", "xit"])
+    def test_replicate_rows_do_not_depend_on_rep_count(self, tmp_path,
+                                                       model):
+        # each replicate draws from its own substream (seed, r)
+        bodies = {}
+        for reps in (2, 5):
+            out = tmp_path / f"{reps}.csv"
+            assert run(["simulate", "--model", model, "--n", "3",
+                        "--steps", "8", "--reps", str(reps), "--seed", "4",
+                        "--out", str(out)]) == 0
+            bodies[reps] = out.read_text().splitlines()[3:]
+        assert len(bodies[2]) == 2 * 9 and len(bodies[5]) == 5 * 9
+        assert bodies[5][:2 * 9] == bodies[2]
+
+    def test_simulate_threads_flag_rejected(self, tmp_path, capsys):
+        # replicates are built in one loop; there is no thread pool to size
+        with pytest.raises(SystemExit):
+            run(["simulate", "--model", "xit", "--threads", "2",
+                 "--out", str(tmp_path / "o.csv")])
+
+    def test_xit_imaginary_part_variance(self, tmp_path):
+        # Im X_12(t) is a bridge pinned to 0 at T, over sqrt 2:
+        # Var = t (T - t) / (2 T); at t = T / 2 on a two-step grid
+        T, m = 2.0, 20_000
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--model", "xit", "--n", "2", "--steps",
+                    "2", "--horizon", str(T), "--reps", str(m), "--seed",
+                    "21", "--out", str(out)]) == 0
+        _, columns, data = read_csv(out)
+        data = data.reshape(m, 3, len(columns))
+        t = data[0, 1, columns.index("time")]
+        assert t == T / 2
+        im = data[:, 1, columns.index("im12")]
+        v = t * (T - t) / (2 * T)
+        se = math.sqrt(2.0) * v / math.sqrt(m)
+        assert abs(im.var() - v) <= 3 * se
 
 
 class TestDensity:

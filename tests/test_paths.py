@@ -7,6 +7,53 @@ from noncolbm import paths, verify
 from noncolbm.rng import substream
 
 
+def _pairs(n):
+    iu, ju = np.triu_indices(n, k=1)
+    return list(zip(iu.tolist(), ju.tolist()))
+
+
+def sample_gue_reference(n, t, size, gen):
+    """Pair loop: the diagonal, then (re, im) of each pair i < j."""
+    out = np.zeros((size, n, n), dtype=complex)
+    d = gen.normal(scale=math.sqrt(t), size=(size, n))
+    for i in range(n):
+        out[:, i, i] = d[:, i]
+    for (i, j) in _pairs(n):
+        z = (gen.normal(scale=math.sqrt(t / 2.0), size=size)
+             + 1j * gen.normal(scale=math.sqrt(t / 2.0), size=size))
+        out[:, i, j] = z
+        out[:, j, i] = np.conj(z)
+    return out
+
+
+def sample_goe_reference(n, t, size, gen):
+    """Pair loop: the diagonal, then each pair i < j."""
+    out = np.zeros((size, n, n))
+    d = gen.normal(scale=math.sqrt(t), size=(size, n))
+    for i in range(n):
+        out[:, i, i] = d[:, i]
+    for (i, j) in _pairs(n):
+        v = gen.normal(scale=math.sqrt(t / 2.0), size=size)
+        out[:, i, j] = v
+        out[:, j, i] = v
+    return out
+
+
+def sample_xit_marginal_reference(n, t, T, size, gen):
+    """Pair loop: the diagonal, then (re, im) of each pair i < j."""
+    out = np.zeros((size, n, n), dtype=complex)
+    d = gen.normal(scale=math.sqrt(t), size=(size, n))
+    for i in range(n):
+        out[:, i, i] = d[:, i]
+    var_im = t * (T - t) / T
+    for (i, j) in _pairs(n):
+        z = (gen.normal(scale=math.sqrt(t / 2.0), size=size)
+             + 1j * gen.normal(scale=math.sqrt(var_im / 2.0), size=size))
+        out[:, i, j] = z
+        out[:, j, i] = np.conj(z)
+    return out
+
+
 class TestTimeGrid:
     def test_uniform(self):
         g = paths.TimeGrid.uniform(2.0, 4)
@@ -26,18 +73,18 @@ class TestBrownian:
     def test_starts_at_zero(self):
         p = paths.sample_brownian(paths.TimeGrid.uniform(1.0, 8),
                                   substream(1))
-        assert p.values[0] == 0.0
+        assert p[0] == 0.0
 
     def test_unit_increment_moments(self):
         g = paths.TimeGrid.uniform(1.0, 1)
-        vals = np.array([paths.sample_brownian(g, substream(2, i)).values[-1]
+        vals = np.array([paths.sample_brownian(g, substream(2, i))[-1]
                          for i in range(100_000)])
         assert abs(vals.mean()) < 0.02
 
     def test_variance_grows_linearly(self):
         g = paths.TimeGrid.uniform(2.0, 16)
         m = 20_000
-        ends = np.array([paths.sample_brownian(g, substream(3, i)).values[-1]
+        ends = np.array([paths.sample_brownian(g, substream(3, i))[-1]
                          for i in range(m)])
         var = ends.var()
         se = math.sqrt(2.0) * 2.0 / math.sqrt(m)  # var of var estimator
@@ -45,8 +92,8 @@ class TestBrownian:
 
     def test_seed_determinism(self):
         g = paths.TimeGrid.uniform(1.0, 32)
-        a = paths.sample_brownian(g, substream(4)).values
-        b = paths.sample_brownian(g, substream(4)).values
+        a = paths.sample_brownian(g, substream(4))
+        b = paths.sample_brownian(g, substream(4))
         np.testing.assert_array_equal(a, b)
 
 
@@ -54,13 +101,13 @@ class TestBridge:
     def test_pins_endpoint_exactly(self):
         g = paths.TimeGrid.uniform(1.0, 8)
         p = paths.sample_bridge(g, 1.0, 2.5, substream(5))
-        assert p.values[-1] == 2.5
+        assert p[-1] == 2.5
 
     def test_midpoint_variance(self):
         T, m = 1.0, 20_000
         g = paths.TimeGrid.uniform(T, 2)
-        mids = np.array([paths.sample_bridge(g, T, 0.0, substream(6, i))
-                         .values[1] for i in range(m)])
+        mids = np.array([paths.sample_bridge(g, T, 0.0, substream(6, i))[1]
+                         for i in range(m)])
         var = mids.var()
         se = math.sqrt(2.0) * (T / 4) / math.sqrt(m)
         assert abs(var - T / 4) <= 3 * se
@@ -68,7 +115,7 @@ class TestBridge:
     def test_mean_is_linear_interpolation(self):
         T, y, m = 2.0, 3.0, 20_000
         g = paths.TimeGrid.uniform(T, 4)
-        vals = np.array([paths.sample_bridge(g, T, y, substream(7, i)).values
+        vals = np.array([paths.sample_bridge(g, T, y, substream(7, i))
                          for i in range(m)])
         for k, t in enumerate(g.times):
             se = math.sqrt(t * (T - t) / T / m) if 0 < t < T else 0.0
@@ -112,6 +159,27 @@ class TestMatrixProcesses:
             paths.build_matrix_process("sue", 2,
                                        paths.TimeGrid.uniform(1.0, 2),
                                        substream(13))
+
+
+class TestMarginalSamplers:
+    # same draws in the same order, same arithmetic: equal, not just close
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_match_pair_loop_references(self, n):
+        for t, T in ((0.7, 1.0), (1.0, 1.0)):
+            cases = [
+                (paths.sample_gue(n, t, 50, substream(60, n)),
+                 sample_gue_reference(n, t, 50, substream(60, n))),
+                (paths.sample_goe(n, t, 50, substream(61, n)),
+                 sample_goe_reference(n, t, 50, substream(61, n))),
+                (paths.sample_xit_marginal(n, t, T, 50, substream(62, n)),
+                 sample_xit_marginal_reference(n, t, T, 50,
+                                               substream(62, n))),
+            ]
+            for new, ref in cases:
+                assert new.dtype == ref.dtype
+                np.testing.assert_array_equal(new, ref)
+                np.testing.assert_array_equal(np.signbit(new.imag),
+                                              np.signbit(ref.imag))
 
 
 class TestPinnedProcess:
