@@ -94,6 +94,12 @@ def cmd_simulate(args, config):
     T = _effective(args, config, "horizon", 1.0, float)
     steps = _effective(args, config, "steps", 256, int)
     reps = _effective(args, config, "reps", 1, int)
+    for flag, val in (("n", n), ("horizon", T), ("steps", steps),
+                      ("reps", reps)):
+        if not val > 0:
+            print("error: --%s must be positive, got %r" % (flag, val),
+                  file=sys.stderr)
+            return 2
     seed = _resolve_seed(args, config)
     out = args.out or f"{model}.csv"
     cfg = {"command": "simulate", "model": model, "n": n, "horizon": T,
@@ -116,7 +122,7 @@ def cmd_simulate(args, config):
               "(expected ~ dt=%.6g)"
               % (reps, int(res.failed.sum()),
                  float(inc.var()) if inc.size else float("nan"), T / steps))
-    elif model in ("gue", "goe", "xit"):
+    else:
         grid = paths.TimeGrid.uniform(T, steps)
         data, lead = _rep_rows(reps, steps + 1, 1 + 2 * n * n)
         for r in range(reps):
@@ -130,9 +136,6 @@ def cmd_simulate(args, config):
                 columns += [f"re{i+1}{j+1}", f"im{i+1}{j+1}"]
         _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]))
         print("summary: replicates=%d grid_points=%d" % (reps, steps + 1))
-    else:
-        print("unknown model %r" % model, file=sys.stderr)
-        return 2
     return 0
 
 
@@ -150,60 +153,34 @@ def cmd_density(args, config):
            "horizon": T, "method": method, "seed": seed}
     print("seed", seed, "digest", _digest(cfg))
 
-    rows = []
-    columns = []
-    try:
+    def values(x, y):
         if name == "f":
-            columns = ["value"]
-            for x in xs:
-                for y in ys:
-                    rows.append([densities.transition_density(t, x, y)])
-        elif name == "survival":
-            for x in xs:
-                v = densities.survival_probability(
-                    t, x, method=method, rng=substream(seed))
-                if isinstance(v, densities.MCEstimate):
-                    columns = ["value", "se"]
-                    rows.append([v.mean, v.se])
-                else:
-                    columns = ["value"]
-                    rows.append([v])
-        elif name == "p":
-            columns = ["value"]
-            for x in xs:
-                for y in ys:
-                    rows.append([densities.h_transform_density(s, x, t, y)])
-        elif name == "g":
-            columns = ["value"]
-            for x in xs:
-                for y in ys:
-                    rows.append([densities.finite_horizon_density(
-                        T, s, x, t, y)])
-        elif name in ("gue", "goe"):
-            columns = ["value"]
-            for x in xs:
-                rows.append([densities.eigenvalue_density(name, x, t)])
-        else:
-            print("unknown density %r" % name, file=sys.stderr)
-            return 2
+            return [densities.transition_density(t, x, y)]
+        if name == "p":
+            return [densities.h_transform_density(s, x, t, y)]
+        if name == "g":
+            return [densities.finite_horizon_density(T, s, x, t, y)]
+        if name == "survival":
+            v = densities.survival_probability(t, x, method=method,
+                                               rng=substream(seed))
+            return [v.mean, v.se] if method == "montecarlo" else [v]
+        return [densities.eigenvalue_density(name, x, t)]
+
+    # one row per point: its coordinates, then its value(s)
+    try:
+        rows = [([] if x is None else list(x)) + values(x, y)
+                for x in xs
+                for y in (ys if name in ("f", "p", "g") else [None])]
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    out = args.out
-    point_cols = []
-    if xs[0] is not None:
-        point_cols = [f"x{i+1}" for i in range(len(xs[0]))]
-    full_rows = []
-    idx = 0
-    for x in xs:
-        for y in (ys if name in ("f", "p", "g") else [None]):
-            pt = list(x) if x is not None else []
-            full_rows.append(pt + rows[idx])
-            idx += 1
-    columns = point_cols + columns
-    data = np.array(full_rows, dtype=float)
-    if out:
-        _write_csv(out, cfg, columns, data)
+    columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
+    columns.append("value")
+    if name == "survival" and method == "montecarlo":
+        columns.append("se")
+    data = np.array(rows, dtype=float)
+    if args.out:
+        _write_csv(args.out, cfg, columns, data)
     print("".join(_csv_lines(data)), end="")
     return 0
 
@@ -238,12 +215,9 @@ def cmd_verify(args, config):
     elif suite == "marginals":
         report = verify.run_suite_with_retry(verify.marginals_suite, seed,
                                              n=n, horizon=T, reps=reps)
-    elif suite == "densities":
+    else:
         report = verify.run_suite_with_retry(verify.densities_suite, seed,
                                              mc_samples=samples)
-    else:
-        print("unknown suite %r" % suite, file=sys.stderr)
-        return 2
     report["schema_version"] = 1
     report["config"] = cfg
     text = json.dumps(report, indent=2, sort_keys=True,

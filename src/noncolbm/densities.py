@@ -15,11 +15,14 @@ from . import linalg
 from .rng import as_generator
 
 QUAD_MAX_DIM = 4
+# chamber_integrate doubles its Gauss-Legendre node count per axis from the
+# first count up to the cap
+_QUAD_START_NODES = 24
+_QUAD_MAX_NODES = 200
 
 
 @dataclass(frozen=True)
 class NormalizationConstants:
-    n: int
     c1: float
     c2: float
     c3: float
@@ -43,17 +46,7 @@ def constants(n):
     c2 = 2.0 ** (n / 2.0) * math.exp(lg2)
     c3 = 2.0 ** (n / 2.0) * math.pi ** (n * n / 2.0)
     c4 = 2.0 ** (n / 2.0) * math.pi ** (n * (n + 1) / 4.0)
-    return NormalizationConstants(n, c1, c2, c3, c4)
-
-
-def vandermonde_batch(y):
-    """Product of pairwise differences for a batch of vectors (..., N)."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    if n < 2:
-        return np.ones(y.shape[:-1])
-    iu, ju = np.triu_indices(n, k=1)
-    return np.prod(y[..., ju] - y[..., iu], axis=-1)
+    return NormalizationConstants(c1, c2, c3, c4)
 
 
 def transition_density(t, x, y):
@@ -63,7 +56,7 @@ def transition_density(t, x, y):
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    x = linalg.weyl_vector(x, strict=True)
+    x = linalg.weyl_vector(x)
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != x.size:
         raise ValueError("dimension mismatch between start and end points")
@@ -188,18 +181,17 @@ def chamber_points(n_dim, lo, hi, n_nodes):
     return pts[:, ::-1], wts
 
 
-def chamber_integrate(func, n_dim, lo, hi, rel_tol=1e-6, start_nodes=24,
-                      max_nodes=200):
+def chamber_integrate(func, n_dim, lo, hi, rel_tol=1e-6):
     """Adaptive nested Gauss-Legendre integral of func over the truncated
     chamber.  func must accept a batch of points (M, n_dim)."""
     if n_dim > QUAD_MAX_DIM:
         raise ValueError("chamber quadrature supported for dimension <= %d"
                          % QUAD_MAX_DIM)
-    nodes = start_nodes
+    nodes = _QUAD_START_NODES
     pts, wts = chamber_points(n_dim, lo, hi, nodes)
     last = float(np.sum(wts * func(pts)))
-    while nodes < max_nodes:
-        nodes = min(max_nodes, 2 * nodes)
+    while nodes < _QUAD_MAX_NODES:
+        nodes = min(_QUAD_MAX_NODES, 2 * nodes)
         pts, wts = chamber_points(n_dim, lo, hi, nodes)
         cur = float(np.sum(wts * func(pts)))
         if abs(cur - last) <= rel_tol * max(abs(cur), 1e-300):
@@ -218,7 +210,7 @@ def _chamber_box(t, x):
 def survival_quadrature(t, x, rel_tol=1e-6):
     """No-collision probability by direct chamber quadrature of the
     Karlin-McGregor density (N <= 4)."""
-    x = linalg.weyl_vector(x, strict=True)
+    x = linalg.weyl_vector(x)
     if x.size > QUAD_MAX_DIM:
         raise ValueError("quadrature survival limited to N <= %d"
                          % QUAD_MAX_DIM)
@@ -236,7 +228,7 @@ def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
     probability of every adjacent gap, which removes most of the
     discretization bias.
     """
-    x = linalg.weyl_vector(x, strict=True)
+    x = linalg.weyl_vector(x)
     n = x.size
     if n == 1:
         return MCEstimate(1.0, 0.0, samples)
@@ -258,18 +250,16 @@ def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
     return MCEstimate(mean, se, samples)
 
 
-def survival_probability(t, x, method="pfaffian", samples=100_000, steps=200,
-                         rng=None, rel_tol=1e-6):
+def survival_probability(t, x, method="pfaffian", rng=None):
     """Probability that N Brownian particles started at ordered x keep their
     order up to time t.  method is one of pfaffian / quadrature / montecarlo;
     the Monte Carlo variant returns an MCEstimate."""
     if method == "pfaffian":
-        return survival_pfaffian(t, linalg.weyl_vector(x, strict=True))
+        return survival_pfaffian(t, linalg.weyl_vector(x))
     if method == "quadrature":
-        return survival_quadrature(t, x, rel_tol=rel_tol)
+        return survival_quadrature(t, x)
     if method == "montecarlo":
-        return survival_montecarlo(t, x, samples=samples, steps=steps,
-                                   rng=rng)
+        return survival_montecarlo(t, x, rng=rng)
     raise ValueError("unknown survival method %r" % (method,))
 
 
@@ -281,18 +271,13 @@ def h_transform_density(s, x, t, y):
     if not t > s:
         raise ValueError("need t > s")
     y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
     if x is None:
         if s != 0:
             raise ValueError("origin start requires s = 0")
-        c = constants(n)
-        h = vandermonde_batch(y)
-        val = (t ** (-n * n / 2.0) / c.c1
-               * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t)) * h * h)
-        return val if y.ndim > 1 else float(val)
-    x = linalg.weyl_vector(x, strict=True)
+        return eigenvalue_density("gue", y, t)
+    x = linalg.weyl_vector(x)
     hx = linalg.vandermonde(x)
-    val = transition_density(t - s, x, y) * vandermonde_batch(y) / hx
+    val = transition_density(t - s, x, y) * linalg.vandermonde(y) / hx
     return val if y.ndim > 1 else float(val)
 
 
@@ -313,11 +298,11 @@ def finite_horizon_density(T, s, x, t, y):
         if s != 0:
             raise ValueError("origin start requires s = 0")
         c = constants(n)
-        h = vandermonde_batch(y)
+        h = linalg.vandermonde(y)
         val = (T ** (n * (n - 1) / 4.0) * t ** (-n * n / 2.0) / c.c2
                * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t)) * h * surv_y)
         return val if y.ndim > 1 else float(val)
-    x = linalg.weyl_vector(x, strict=True)
+    x = linalg.weyl_vector(x)
     surv_x = survival_pfaffian(T - s, x)
     val = transition_density(t - s, x, y) * surv_y / surv_x
     return val if y.ndim > 1 else float(val)
@@ -331,7 +316,7 @@ def eigenvalue_density(kind, x, t):
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     c = constants(n)
-    h = vandermonde_batch(x)
+    h = linalg.vandermonde(x)
     gauss = np.exp(-np.sum(x * x, axis=-1) / (2.0 * t))
     kind = kind.lower()
     if kind == "gue":

@@ -10,6 +10,8 @@ from . import densities, linalg, paths
 from .densities import MCEstimate
 from .rng import as_generator
 
+_HC_BATCH = 20000   # Haar matrices drawn per block in hc_monte_carlo
+
 
 def haar_unitary(n, rng, size=None):
     """Haar-random unitary matrices via QR of a complex Ginibre matrix.
@@ -28,11 +30,11 @@ def haar_unitary(n, rng, size=None):
     return q[0] if size is None else q
 
 
-def hc_monte_carlo(x, y, sigma, samples, rng, batch=20000):
+def hc_monte_carlo(x, y, sigma, samples, rng):
     """Haar average of exp{-Tr(L_x - U' L_y U)^2 / (2 sigma^2)} with the
     diagonal matrices L_x, L_y built from strictly ordered x, y."""
-    x = linalg.weyl_vector(x, strict=True)
-    y = linalg.weyl_vector(y, strict=True)
+    x = linalg.weyl_vector(x)
+    y = linalg.weyl_vector(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
     n = x.size
@@ -44,7 +46,7 @@ def hc_monte_carlo(x, y, sigma, samples, rng, batch=20000):
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(_HC_BATCH, samples - done)
         u = haar_unitary(n, gen, size=m)
         a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u)
         a[:, np.arange(n), np.arange(n)] -= x
@@ -61,8 +63,8 @@ def hc_monte_carlo(x, y, sigma, samples, rng, batch=20000):
 
 def hc_closed_form(x, y, sigma):
     """Determinant form of the same Haar average."""
-    x = linalg.weyl_vector(x, strict=True)
-    y = linalg.weyl_vector(y, strict=True)
+    x = linalg.weyl_vector(x)
+    y = linalg.weyl_vector(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
     n = x.size
@@ -110,7 +112,7 @@ def convolution_quadrature(n, T, t, H, rel_tol=1e-6):
             / (c.c3 * c.c2))
 
     def integrand(a):
-        h = densities.vandermonde_batch(a)
+        h = linalg.vandermonde(a)
         tr_diff = tr_h2 - 2.0 * a @ hdiag + np.sum(a * a, axis=-1)
         return h * np.exp(-0.5 * alpha * np.sum(a * a, axis=-1)
                           - tr_diff / (2.0 * sigma2))
@@ -129,7 +131,7 @@ def interpolation_identity_check(n, T, t, y, haar_samples, rng):
     The matrix transition density is evaluated at conjugations of the
     diagonal matrix of y by Haar unitaries; its eigenvalue-space counterpart
     is the finite-horizon chamber density at y."""
-    y = linalg.weyl_vector(y, strict=True)
+    y = linalg.weyl_vector(y)
     gen = as_generator(rng)
     c = densities.constants(n)
     cu = c.c3 / c.c1

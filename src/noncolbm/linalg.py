@@ -6,36 +6,29 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 
 
-def weyl_vector(coords, strict=False):
-    """Validate and return an ordered coordinate vector.
-
-    With strict=True the coordinates must be strictly increasing (a point of
-    the open Weyl chamber); otherwise ties are allowed.
-    """
+def weyl_vector(coords):
+    """Validate and return a strictly increasing coordinate vector (a point
+    of the open Weyl chamber)."""
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("coordinate vector must be a nonempty 1-d array")
-    gaps = np.diff(x)
-    if strict:
-        if not np.all(gaps > 0):
-            raise ValueError("coordinates must be strictly increasing")
-    elif not np.all(gaps >= 0):
-        raise ValueError("coordinates must be nondecreasing")
+    if not np.all(np.diff(x) > 0):
+        raise ValueError("coordinates must be strictly increasing")
     return x
 
 
-def check_hermitian(H, tol=HERMITIAN_TOL):
+def check_hermitian(H):
     """Validate an N x N Hermitian (or real symmetric) matrix and return it."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-    if np.abs(H - H.conj().T).max() > tol * scale:
+    if np.abs(H - H.conj().T).max() > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return H
 
 
-def check_skew(A, tol=HERMITIAN_TOL):
+def check_skew(A):
     """Validate a skew-symmetric (A^T = -A) real or complex matrix, or a
     stack (..., n, n) of them, and return it as float or complex.  The
     tolerance is relative to each matrix's largest entry."""
@@ -47,22 +40,21 @@ def check_skew(A, tol=HERMITIAN_TOL):
         scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
         asym = A + np.swapaxes(A, -1, -2)
         asym = np.abs(asym, out=asym).max(axis=(-2, -1)).real
-        if np.any(asym > tol * scale):
+        if np.any(asym > HERMITIAN_TOL * scale):
             raise ValueError("matrix is not skew-symmetric within tolerance")
     return A
 
 
 def vandermonde(x):
-    """Product of (x_j - x_i) over all pairs i < j.
+    """Product of (x_j - x_i) over all pairs i < j of the last axis: a float
+    for one vector, an array of shape x.shape[:-1] for a batch (..., N).
 
     Nonnegative for ordered input; zero when two coordinates coincide.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 2:
-        return 1.0
-    diffs = x[None, :] - x[:, None]
-    return float(np.prod(diffs[np.triu_indices(n, k=1)]))
+    iu, ju = np.triu_indices(x.shape[-1], k=1)
+    h = np.prod(x[..., ju] - x[..., iu], axis=-1)
+    return float(h) if x.ndim == 1 else h
 
 
 def heat_kernel(t, x, y):
@@ -77,19 +69,19 @@ def heat_kernel(t, x, y):
     return np.exp(-((y - x) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
 
 
-def ordered_eigenvalues(H, tol=HERMITIAN_TOL):
+def ordered_eigenvalues(H):
     """Ascending real eigenvalues of a Hermitian matrix."""
-    H = check_hermitian(H, tol=tol)
+    H = check_hermitian(H)
     return np.linalg.eigvalsh(H)
 
 
-def ordered_eigensystem(H, tol=HERMITIAN_TOL):
+def ordered_eigensystem(H):
     """Ascending eigenvalues and a unitary of eigenvectors (columns)."""
-    H = check_hermitian(H, tol=tol)
+    H = check_hermitian(H)
     return np.linalg.eigh(H)
 
 
-def pfaffian(A, tol=HERMITIAN_TOL):
+def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric real or complex matrix
     (n, n), or of each matrix of a stack (..., n, n).
 
@@ -100,7 +92,7 @@ def pfaffian(A, tol=HERMITIAN_TOL):
     pivoting on its own.  Returns a scalar for one matrix (a float for real
     input), an array of shape A.shape[:-2] for a stack.
     """
-    A = check_skew(A, tol=tol)
+    A = check_skew(A)
     if A.shape[-1] % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
     pf = _pfaffian_batch(A)

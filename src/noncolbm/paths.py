@@ -89,10 +89,10 @@ def _bridge_batch(times, T, endpoints, gen):
     return vals
 
 
-def sample_brownian(grid, rng, start=0.0):
-    """Standard Brownian path on the grid (independent Gaussian increments):
-    its (K,) values."""
-    return start + _brownian_batch(grid.times, 1, as_generator(rng))[0]
+def sample_brownian(grid, rng):
+    """Standard Brownian path from 0 on the grid (independent Gaussian
+    increments): its (K,) values."""
+    return _brownian_batch(grid.times, 1, as_generator(rng))[0]
 
 
 def sample_bridge(grid, T, endpoint, rng):

@@ -82,11 +82,6 @@ def dyson_drift(x):
     return np.einsum("mij->mi", _inverse_differences(np.atleast_2d(x)))
 
 
-def _drift_bT_batch(t, x, T):
-    """Exact gradient of ln survival(T - t, .), batched (m, n)."""
-    return densities.survival_log_gradient(T - t, x)
-
-
 def drift_bT(t, x, T):
     """Drift of the finite-horizon system at time t and state x."""
     if t >= T:
@@ -94,7 +89,7 @@ def drift_bT(t, x, T):
     x = np.asarray(x, dtype=float)
     if np.any(np.diff(x) <= 0):
         raise ValueError("state must be strictly ordered")
-    return _drift_bT_batch(t, x[None, :], T)[0]
+    return densities.survival_log_gradient(T - t, x)
 
 
 def _phi(y, a, dt):
@@ -237,7 +232,7 @@ def simulate_noncolliding(cfg, t_end, seed, reps=1):
     def remainder(t, x):
         # bounded near collisions, where the log-survival gradient is
         # dominated by the pairwise repulsion
-        return _drift_bT_batch(t, x, T) - dyson_drift(x)
+        return densities.survival_log_gradient(T - t, x) - dyson_drift(x)
 
     def bootstrap(t1, reps, gen):
         return np.linalg.eigvalsh(

@@ -8,10 +8,11 @@ import numpy as np
 from scipy.special import kolmogorov
 from scipy.integrate import cumulative_trapezoid
 
-from . import densities, haar, paths, sde
+from . import densities, haar, linalg, paths, sde
 from .rng import substream
 
 P_THRESHOLD = 0.01
+_MARGINAL_NODES = 48   # Gauss-Legendre nodes per axis of a marginal's rule
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def ks_two_sample(a, b, n_eff=None):
     return KSResult(d, _ks_p(d, en), n1, n2)
 
 
-def ks_one_sample(samples, cdf, n_eff=None):
+def ks_one_sample(samples, cdf):
     """One-sample KS test against a callable CDF; asymptotic p-value."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
@@ -55,11 +56,10 @@ def ks_one_sample(samples, cdf, n_eff=None):
     ecdf_lo = np.arange(0, n) / n
     d = float(max(np.abs(ecdf_hi - target).max(),
                   np.abs(target - ecdf_lo).max()))
-    ne = n if n_eff is None else n_eff
-    return KSResult(d, _ks_p(d, ne), n)
+    return KSResult(d, _ks_p(d, n), n)
 
 
-def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801, nodes=48):
+def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     """Coordinate-marginal CDFs of a joint chamber density.
 
     joint must accept a batch (M, n).  The marginal density of coordinate i
@@ -72,14 +72,9 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801, nodes=48):
     for i in range(n):
         dens = np.empty(grid_points)
         for k, v in enumerate(vs):
-            if i > 0:
-                lp, lw = densities.chamber_points(i, lo, v, nodes)
-            else:
-                lp, lw = np.zeros((1, 0)), np.ones(1)
-            if i < n - 1:
-                up, uw = densities.chamber_points(n - 1 - i, v, hi, nodes)
-            else:
-                up, uw = np.zeros((1, 0)), np.ones(1)
+            lp, lw = densities.chamber_points(i, lo, v, _MARGINAL_NODES)
+            up, uw = densities.chamber_points(n - 1 - i, v, hi,
+                                              _MARGINAL_NODES)
             pts = np.concatenate([
                 np.repeat(lp, up.shape[0], axis=0),
                 np.full((lp.shape[0] * up.shape[0], 1), v),
@@ -107,24 +102,23 @@ def pooled_cdf(cdfs):
     return cdf
 
 
-def _summarize(tests):
+def _report(suite, tests, allowed, **fields):
+    """A suite's report: its fields, its tests, and whether no more than
+    allowed of them failed."""
     n_fail = sum(1 for t in tests if not t["pass"])
-    allowed = max(1, len(tests) // 10)
-    return n_fail, allowed
+    return {"suite": suite, **fields, "tests": tests, "failures": n_fail,
+            "allowed_failures": allowed, "passed": n_fail <= allowed}
 
 
-def marginals_suite(n=2, horizon=1.0, times=None, reps=10_000, seed=0,
-                    dt=None):
+def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     """Eigenvalue marginals of the finite-horizon matrix process against
     states of the finite-horizon noncolliding SDE, plus the closed-form
     ensemble density at the horizon."""
     T = horizon
-    if times is None:
-        times = [T / 4, T / 2, 3 * T / 4, T]
     cfg = sde.SDEConfig(n=n, horizon=T, dt=dt)
     res = sde.simulate_noncolliding(cfg, T, seed=seed, reps=reps)
     tests = []
-    for idx, t in enumerate(times):
+    for idx, t in enumerate([T / 4, T / 2, 3 * T / 4, T]):
         ev = np.linalg.eigvalsh(
             paths.sample_xit_marginal(n, t, T, reps,
                                       substream(seed, 10_000 + idx)))
@@ -148,11 +142,9 @@ def marginals_suite(n=2, horizon=1.0, times=None, reps=10_000, seed=0,
         tests.append({"name": f"t=T coord {i} vs closed form",
                       "statistic": r.statistic, "p_value": r.p_value,
                       "pass": r.p_value > P_THRESHOLD})
-    n_fail, allowed = _summarize(tests)
-    return {"suite": "marginals", "n": n, "horizon": T, "reps": reps,
-            "seed": seed, "failed_replicates": int(res.failed.sum()),
-            "tests": tests, "failures": n_fail, "allowed_failures": allowed,
-            "passed": n_fail <= allowed}
+    return _report("marginals", tests, max(1, len(tests) // 10), n=n,
+                   horizon=T, reps=reps, seed=seed,
+                   failed_replicates=int(res.failed.sum()))
 
 
 def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
@@ -169,7 +161,7 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     y_mid = res_y.at_time(T / 2)
     x_end = res_x.at_time(T)
     x_mid = res_x.at_time(T / 2)
-    w = const / densities.vandermonde_batch(y_end)
+    w = const / linalg.vandermonde(y_end)
 
     tests = []
 
@@ -195,11 +187,8 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
         tests.append({"name": name, "direct": direct, "direct_se": direct_se,
                       "reweighted": rew, "reweighted_se": rew_se,
                       "pass": abs(direct - rew) <= 3 * joint})
-    n_fail = sum(1 for t in tests if not t["pass"])
-    return {"suite": "imhof", "n": n, "horizon": T, "reps": reps,
-            "seed": seed, "constant": const, "tests": tests,
-            "failures": n_fail, "allowed_failures": 0,
-            "passed": n_fail == 0}
+    return _report("imhof", tests, 0, n=n, horizon=T, reps=reps, seed=seed,
+                   constant=const)
 
 
 def hc_suite(samples=100_000, seed=0):
@@ -226,10 +215,8 @@ def hc_suite(samples=100_000, seed=0):
                       "se": est.se, "rhs": rhs,
                       "z": (est.mean - rhs) / est.se if est.se else 0.0,
                       "pass": ok})
-    n_fail, allowed = _summarize(tests)
-    return {"suite": "hc", "samples": samples, "seed": seed, "tests": tests,
-            "failures": n_fail, "allowed_failures": allowed,
-            "passed": n_fail <= allowed}
+    return _report("hc", tests, max(1, len(tests) // 10), samples=samples,
+                   seed=seed)
 
 
 def densities_suite(seed=0, mc_samples=100_000):
@@ -288,10 +275,7 @@ def densities_suite(seed=0, mc_samples=100_000):
         tests.append({"name": f"normalization n={n}", "p_mass": pn,
                       "goe_mass": gn,
                       "pass": abs(pn - 1) <= 1e-4 and abs(gn - 1) <= 1e-4})
-    n_fail = sum(1 for t in tests if not t["pass"])
-    return {"suite": "densities", "seed": seed, "tests": tests,
-            "failures": n_fail, "allowed_failures": 0,
-            "passed": n_fail == 0}
+    return _report("densities", tests, 0, seed=seed)
 
 
 def run_suite_with_retry(suite_fn, seed, **kwargs):

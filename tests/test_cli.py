@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestSimulate:
             run(["simulate", "--model", "xit", "--threads", "2",
                  "--out", str(tmp_path / "o.csv")])
 
+    @pytest.mark.parametrize("model,flag,value", [
+        ("dyson", "--steps", "0"), ("gue", "--steps", "-1"),
+        ("xit", "--horizon", "0"), ("noncolliding", "--horizon", "-1"),
+        ("goe", "--reps", "0"), ("dyson", "--n", "0"), ("xit", "--n", "-2")])
+    def test_bad_size_refused(self, tmp_path, capsys, model, flag, value):
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--model", model, flag, value, "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --" + flag[2:])
+        assert not out.exists()
+
     def test_xit_imaginary_part_variance(self, tmp_path):
         # Im X_12(t) is a bridge pinned to 0 at T, over sqrt 2:
         # Var = t (T - t) / (2 T); at t = T / 2 on a two-step grid
@@ -159,6 +171,17 @@ class TestVerify:
         assert report["config"]["suite"] == "hc"
         for t in report["tests"]:
             assert {"name", "pass"} <= set(t)
+
+    @pytest.mark.parametrize("argv", [["hc", "--samples", "2000"],
+                                      ["imhof", "--reps", "200"]])
+    def test_report_matches_schema(self, tmp_path, capsys, argv):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(resources.files("noncolbm").joinpath(
+            "schemas/verify_report.schema.json").read_text())
+        out = tmp_path / "report.json"
+        assert run(["verify", *argv, "--seed", "3",
+                    "--out", str(out)]) in (0, 1)
+        jsonschema.validate(json.loads(out.read_text()), schema)
 
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit):

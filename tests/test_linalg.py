@@ -47,6 +47,17 @@ class TestVandermonde:
 
     def test_three_points(self):
         assert linalg.vandermonde([1, 2, 4]) == pytest.approx(6.0)
+        # a batch (m, n) gives each row's product, bitwise equal to the row
+        # alone; one vector gives a Python float
+        x = np.vstack([[1.0, 2.0, 4.0], substream(2).normal(size=(6, 3))])
+        h = linalg.vandermonde(x)
+        assert h.shape == (7,) and h[0] == 6.0
+        for k in range(7):
+            row = linalg.vandermonde(x[k])
+            assert type(row) is float and h[k] == row
+            a, b, c = x[k]
+            assert row == pytest.approx((b - a) * (c - a) * (c - b),
+                                        rel=1e-14)
 
     def test_repeated_coordinate(self):
         assert linalg.vandermonde([2.0, 2.0, 5.0]) == 0.0
@@ -241,11 +252,7 @@ class TestPfaffianStack:
 class TestWeylVector:
     def test_strict_rejects_ties(self):
         with pytest.raises(ValueError):
-            linalg.weyl_vector([0.0, 0.0, 1.0], strict=True)
-
-    def test_nonstrict_accepts_ties(self):
-        np.testing.assert_array_equal(
-            linalg.weyl_vector([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0])
+            linalg.weyl_vector([0.0, 0.0, 1.0])
 
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):
