@@ -30,6 +30,21 @@ def _parse_points(s):
     return [_parse_point(p) for p in s.split(";") if p.strip()]
 
 
+def _density_points(name, args):
+    """The --x and --y points of a density query, [None] for an absent flag.
+    ValueError for malformed points, points of different lengths, or a
+    point the named density needs but was not given."""
+    xs = _parse_points(args.x or "") or [None]
+    ys = _parse_points(args.y or "") or [None]
+    if name in ("f", "survival", "gue", "goe") and xs[0] is None:
+        raise ValueError("--name %s needs --x" % name)
+    if name in ("f", "p", "g") and ys[0] is None:
+        raise ValueError("--name %s needs --y" % name)
+    if len({x.size for x in xs if x is not None}) > 1:
+        raise ValueError("--x points differ in length")
+    return xs, ys
+
+
 def _load_config(path):
     cfg = {}
     with open(path) as fh:
@@ -147,8 +162,6 @@ def cmd_density(args, config):
     T = _effective(args, config, "horizon", 1.0, float)
     method = _effective(args, config, "method", "pfaffian", str)
     seed = _resolve_seed(args, config)
-    xs = _parse_points(args.x) if args.x else [None]
-    ys = _parse_points(args.y) if args.y else [None]
     cfg = {"command": "density", "name": name, "n": n, "t": t, "s": s,
            "horizon": T, "method": method, "seed": seed}
     print("seed", seed, "digest", _digest(cfg))
@@ -168,6 +181,7 @@ def cmd_density(args, config):
 
     # one row per point: its coordinates, then its value(s)
     try:
+        xs, ys = _density_points(name, args)
         rows = [([] if x is None else list(x)) + values(x, y)
                 for x in xs
                 for y in (ys if name in ("f", "p", "g") else [None])]

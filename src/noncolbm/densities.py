@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln
+from scipy.special import erf, erfc, gammaln
 from numpy.polynomial.legendre import leggauss
 
 from . import linalg
@@ -108,12 +108,9 @@ def survival_pfaffian(t, x):
     batch of start vectors (..., N).  t == 0 returns 1 for strict input.
     """
     xs = np.asarray(x, dtype=float)
-    n = xs.shape[-1]
-    if n == 1:
-        return np.ones(xs.shape[:-1]) if xs.ndim > 1 else 1.0
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if t == 0:
+    if xs.shape[-1] == 1 or t == 0:
         out = np.ones(xs.shape[:-1])
         return out if xs.ndim > 1 else float(out)
     pf = _pfaffian(_erf_matrix(t, xs))
@@ -167,33 +164,45 @@ def chamber_points(n_dim, lo, hi, n_nodes):
     """Tensor-product Gauss-Legendre nodes/weights on the truncated chamber
     {lo < y_1 < ... < y_n < hi}.  Returns (points (M, n), weights (M,))."""
     u, w = _legendre_rule(n_nodes)
-    pts = np.zeros((1, 0))
+    pts = np.empty((n_nodes ** n_dim, n_dim))
     wts = np.ones(1)
     upper = np.array([float(hi)])
-    for _ in range(n_dim):
+    # the k-th axis nests y_{n-k} in (lo, y_{n-k+1}); each of its values
+    # repeats over the n_nodes ** (n - 1 - k) rows of the axes below it
+    for k in range(n_dim):
         half = 0.5 * (upper - lo)
         y = lo + half[:, None] * (u[None, :] + 1.0)
-        wnew = wts[:, None] * half[:, None] * w[None, :]
-        pts = np.concatenate(
-            [np.repeat(pts, n_nodes, axis=0), y.reshape(-1, 1)], axis=1)
-        wts = wnew.reshape(-1)
+        wts = (wts[:, None] * half[:, None] * w[None, :]).reshape(-1)
         upper = y.reshape(-1)
-    return pts[:, ::-1], wts
+        pts.reshape(upper.size, -1, n_dim)[:, :, n_dim - 1 - k] = \
+            upper[:, None]
+    return pts, wts
+
+
+# chamber_integrate evaluates func on row blocks of at most this many nodes,
+# so its temporaries stay bounded whatever the dimension and node count
+_QUAD_BLOCK = 65_536
+
+
+def _rule_sum(func, pts, wts):
+    return sum(float(np.sum(wts[i:i + _QUAD_BLOCK]
+                            * func(pts[i:i + _QUAD_BLOCK])))
+               for i in range(0, wts.size, _QUAD_BLOCK))
 
 
 def chamber_integrate(func, n_dim, lo, hi, rel_tol=1e-6):
     """Adaptive nested Gauss-Legendre integral of func over the truncated
-    chamber.  func must accept a batch of points (M, n_dim)."""
+    chamber.  func must accept a batch of points (M, n_dim); it is called on
+    row blocks of at most _QUAD_BLOCK nodes, whose sums are added, so that
+    its temporaries stay bounded at every level."""
     if n_dim > QUAD_MAX_DIM:
         raise ValueError("chamber quadrature supported for dimension <= %d"
                          % QUAD_MAX_DIM)
     nodes = _QUAD_START_NODES
-    pts, wts = chamber_points(n_dim, lo, hi, nodes)
-    last = float(np.sum(wts * func(pts)))
+    last = _rule_sum(func, *chamber_points(n_dim, lo, hi, nodes))
     while nodes < _QUAD_MAX_NODES:
         nodes = min(_QUAD_MAX_NODES, 2 * nodes)
-        pts, wts = chamber_points(n_dim, lo, hi, nodes)
-        cur = float(np.sum(wts * func(pts)))
+        cur = _rule_sum(func, *chamber_points(n_dim, lo, hi, nodes))
         if abs(cur - last) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         last = cur
@@ -208,17 +217,33 @@ def _chamber_box(t, x):
 
 
 def survival_quadrature(t, x, rel_tol=1e-6):
-    """No-collision probability by direct chamber quadrature of the
-    Karlin-McGregor density (N <= 4)."""
+    """No-collision probability by chamber quadrature of the Karlin-McGregor
+    density (N <= 4).
+
+    The determinant det[p_t(x_i, y_j)] is linear in its last column, so
+    y_N is integrated over (y_{N-1}, inf) in closed form: that column becomes
+    the Gaussian tails P(x_i + B_t > y_{N-1}) = erfc((y_{N-1} - x_i) /
+    sqrt(2t)) / 2, and chamber_integrate runs over y_1 < ... < y_{N-1} only.
+    t == 0 returns 1 for strict input.
+    """
     x = linalg.weyl_vector(x)
-    if x.size > QUAD_MAX_DIM:
+    n = x.size
+    if n > QUAD_MAX_DIM:
         raise ValueError("quadrature survival limited to N <= %d"
                          % QUAD_MAX_DIM)
-    if x.size == 1:
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if n == 1 or t == 0:
         return 1.0
     lo, hi = _chamber_box(t, x)
-    return chamber_integrate(lambda y: transition_density(t, x, y),
-                             x.size, lo, hi, rel_tol=rel_tol)
+
+    def reduced_density(y):
+        k = np.empty((y.shape[0], n, n))
+        k[:, :-1] = linalg.heat_kernel(t, x, y[:, :, None])
+        k[:, -1] = 0.5 * erfc((y[:, -1:] - x) / math.sqrt(2.0 * t))
+        return np.linalg.det(k)
+
+    return chamber_integrate(reduced_density, n - 1, lo, hi, rel_tol=rel_tol)
 
 
 def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
@@ -226,25 +251,41 @@ def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
 
     Each discrete step is weighted by the exact bridge non-crossing
     probability of every adjacent gap, which removes most of the
-    discretization bias.
+    discretization bias.  Positions are held as (N, samples), so gaps are
+    row differences; each step draws one (samples, N) block of normals.
+    t == 0 returns MCEstimate(1, 0, samples) for strict input.
     """
     x = linalg.weyl_vector(x)
     n = x.size
-    if n == 1:
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if samples < 2:
+        raise ValueError("need at least 2 samples, got %r" % (samples,))
+    if steps < 1:
+        raise ValueError("need at least 1 step, got %r" % (steps,))
+    if n == 1 or t == 0:
         return MCEstimate(1.0, 0.0, samples)
     gen = as_generator(rng)
     dt = t / steps
-    pos = np.tile(x, (samples, 1))
+    sq = math.sqrt(dt)
+    pos = np.repeat(x[:, None], samples, axis=1)
+    a = pos[1:] - pos[:-1]
     weight = np.ones(samples)
     for _ in range(steps):
-        new = pos + gen.normal(size=(samples, n)) * math.sqrt(dt)
-        a = np.diff(pos, axis=1)
-        b = np.diff(new, axis=1)
-        alive = (b > 0).all(axis=1) & (weight > 0)
-        # gap processes have variance rate 2; bridge hit prob exp(-ab/dt)
-        cross = np.exp(-np.clip(a * b, 0.0, None) / dt)
-        weight = np.where(alive, weight * np.prod(1.0 - cross, axis=1), 0.0)
-        pos = new
+        step = gen.normal(size=(samples, n))
+        step *= sq
+        pos += step.T
+        b = pos[1:] - pos[:-1]
+        # gap processes have variance rate 2; bridge hit prob exp(-ab/dt),
+        # computed in a's buffer, then turned into the no-hit prob 1 - hit
+        hit = np.multiply(a, b, out=a)
+        np.maximum(hit, 0.0, out=hit)
+        hit /= -dt
+        np.exp(hit, out=hit)
+        weight *= np.prod(np.subtract(1.0, hit, out=hit), axis=0)
+        # a dead sample keeps weight 0 whatever its later gaps
+        weight *= (b > 0).all(axis=0)
+        a = b
     mean = float(weight.mean())
     se = float(weight.std(ddof=1) / math.sqrt(samples))
     return MCEstimate(mean, se, samples)

@@ -159,6 +159,18 @@ class TestDensity:
         assert run(["density", "--name", "survival", "--t", "1.0",
                     "--x", "2,0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--name", "survival", "--t", "1.0", "--x", "0,2;0,1,3"],
+        ["--name", "gue"],
+        ["--name", "goe", "--t", "2.0"],
+        ["--name", "f", "--x", "0,1"],
+        ["--name", "survival", "--x", "0,a"],
+    ], ids=["unequal-lengths", "gue-no-x", "goe-no-x", "f-no-y",
+            "not-a-number"])
+    def test_malformed_points_exit_two(self, capsys, argv):
+        assert run(["density", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestVerify:
     def test_hc_suite_exit_zero_and_schema(self, tmp_path, capsys):

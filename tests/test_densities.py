@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,38 @@ class TestSurvival:
                 1.0, x, samples=60_000, rng=substream(20, n))
             assert abs(pf - mc.mean) <= 3 * mc.se
 
+    # the 3 x 3 (t, scale) grid of verify.densities_suite
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadrature_matches_pfaffian_on_suite_grid(self, n):
+        for t in (0.25, 1.0, 4.0):
+            for scale in (0.5, 1.0, 2.0):
+                x = np.arange(n, dtype=float) * scale
+                assert abs(densities.survival_quadrature(t, x)
+                           - densities.survival_pfaffian(t, x)) <= 1e-9
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmSize from /proc")
+    def test_quadrature_n4_in_bounded_memory(self):
+        # address space capped at the interpreter's size plus 512 MiB
+        script = (
+            "import resource\n"
+            "from noncolbm import densities\n"
+            "size = next(int(line.split()[1]) * 1024 for line in "
+            "open('/proc/self/status') if line.startswith('VmSize:'))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, "
+            "(size + (512 << 20), resource.RLIM_INFINITY))\n"
+            "x = [0.0, 1.0, 2.0, 3.0]\n"
+            "print(densities.survival_quadrature(1.0, x)"
+            " - densities.survival_pfaffian(1.0, x))\n")
+        src = str(Path(densities.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        p = subprocess.run([sys.executable, "-c", script],
+                           env=dict(os.environ, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=300)
+        assert p.returncode == 0, p.stderr   # a MemoryError exits 1
+        assert abs(float(p.stdout)) <= 1e-4
+
     def test_quadrature_rejected_above_dim4(self):
         with pytest.raises(ValueError):
             densities.survival_quadrature(1.0, np.arange(5.0))
@@ -102,6 +139,50 @@ class TestSurvival:
                 np.testing.assert_allclose(
                     batch[k], densities.survival_log_gradient(0.8, xs[k]),
                     rtol=1e-12)
+
+
+class TestSurvivalDomain:
+    @pytest.mark.parametrize("x", [[0.4], [0.0, 1.0]], ids=["n1", "n2"])
+    @pytest.mark.parametrize("evaluate", [
+        densities.survival_pfaffian, densities.survival_quadrature,
+        densities.survival_montecarlo], ids=["pfaffian", "quadrature", "mc"])
+    def test_negative_time_refused(self, evaluate, x):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            evaluate(-0.1, x)
+
+    @pytest.mark.parametrize("samples, steps", [(1, 10), (0, 10), (10, 0)])
+    def test_montecarlo_sizes_refused(self, samples, steps):
+        with pytest.raises(ValueError):
+            densities.survival_montecarlo(1.0, [0.0, 1.0], samples=samples,
+                                          steps=steps)
+
+    @pytest.mark.parametrize("x", [[0.4], [0.0, 1.0], [0.0, 1.0, 2.5]])
+    def test_zero_time_survives(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert densities.survival_pfaffian(0.0, x) == 1.0
+            assert densities.survival_quadrature(0.0, x) == 1.0
+            assert densities.survival_montecarlo(
+                0.0, x, samples=50, rng=1) == densities.MCEstimate(
+                    1.0, 0.0, 50)
+
+
+class TestMonteCarloStream:
+    # mean and se as recorded from the layout that held positions as
+    # (samples, N); the (N, samples) layout must reproduce them bitwise
+    PINNED = [
+        (1.0, [0.0, 0.7], 0.379697986084154, 0.0106462668087944),
+        (0.8, [-0.5, 0.2, 1.1], 0.1396303784100464, 0.007562134648785911),
+        (1.0, [0.0, 1.0, 2.0, 3.0], 0.06610141229901696,
+         0.005330013977300651),
+    ]
+
+    @pytest.mark.parametrize("t, x, mean, se", PINNED,
+                             ids=["n2", "n3", "n4"])
+    def test_pinned_estimates(self, t, x, mean, se):
+        est = densities.survival_montecarlo(t, x, samples=2000,
+                                            rng=substream(606, len(x)))
+        assert est == densities.MCEstimate(mean, se, 2000)
 
 
 class TestChamberRule:
