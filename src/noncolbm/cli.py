@@ -14,6 +14,11 @@ from . import densities, paths, sde, verify
 from .rng import substream
 
 
+class _UsageError(Exception):
+    """Bad input from a flag, the config file or the environment: main
+    prints it as "error: ..." and exits with status 2."""
+
+
 def _csv_lines(data):
     """CSV text of a 2-D float array, every value as "%.17g", one string per
     256 rows, so that no more than those rows are held as Python floats."""
@@ -46,31 +51,51 @@ def _density_points(name, args):
 
 
 def _load_config(path):
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise _UsageError("cannot read config file: %s" % exc) from None
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise _UsageError("%s line %d: expected key = value, got %r"
+                                  % (path, number, line))
             cfg[key.strip()] = val.strip()
     return cfg
 
 
 def _effective(args, config, key, default, cast):
-    """Precedence: explicit flag > config file > built-in default."""
+    """Precedence: explicit flag > config (file or environment) > built-in
+    default."""
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if key in config:
+    if key not in config:
+        return default
+    try:
         return cast(config[key])
-    return default
+    except ValueError:
+        raise _UsageError("%s = %r is not a valid %s"
+                          % (key, config[key], cast.__name__)) from None
+
+
+def _check_sizes(sizes, least=0):
+    """Refuse the first flag of sizes (flag -> value) whose value is not
+    positive, or is below least."""
+    for flag, val in sizes.items():
+        if not (val > 0 and val >= least):
+            raise _UsageError("--%s must be %s, got %r" % (
+                flag, "at least %d" % least if least else "positive", val))
 
 
 def _resolve_seed(args, config):
     seed = _effective(args, config, "seed", None, int)
-    if seed is None and "NONCOLBM_SEED" in os.environ:
-        seed = int(os.environ["NONCOLBM_SEED"])
+    if seed is None:
+        seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
     return seed
@@ -109,12 +134,7 @@ def cmd_simulate(args, config):
     T = _effective(args, config, "horizon", 1.0, float)
     steps = _effective(args, config, "steps", 256, int)
     reps = _effective(args, config, "reps", 1, int)
-    for flag, val in (("n", n), ("horizon", T), ("steps", steps),
-                      ("reps", reps)):
-        if not val > 0:
-            print("error: --%s must be positive, got %r" % (flag, val),
-                  file=sys.stderr)
-            return 2
+    _check_sizes({"n": n, "horizon": T, "steps": steps, "reps": reps})
     seed = _resolve_seed(args, config)
     out = args.out or f"{model}.csv"
     cfg = {"command": "simulate", "model": model, "n": n, "horizon": T,
@@ -141,9 +161,8 @@ def cmd_simulate(args, config):
         grid = paths.TimeGrid.uniform(T, steps)
         data, lead = _rep_rows(reps, steps + 1, 1 + 2 * n * n)
         for r in range(reps):
-            mp = paths.build_matrix_process(
-                model, n, grid, substream(seed, r),
-                T=T if model == "xit" else None)
+            mp = paths.build_matrix_process(model, n, grid,
+                                            substream(seed, r))
             data[r, :, lead:] = paths.matrix_path_csv_rows(mp)
         columns = (["rep"] if reps > 1 else []) + ["time"]
         for i in range(n):
@@ -186,8 +205,7 @@ def cmd_density(args, config):
                 for x in xs
                 for y in (ys if name in ("f", "p", "g") else [None])]
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from exc
     columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
     columns.append("value")
     if name == "survival" and method == "montecarlo":
@@ -215,23 +233,21 @@ def cmd_verify(args, config):
     T = _effective(args, config, "horizon", 1.0, float)
     reps = _effective(args, config, "reps", 10_000, int)
     samples = _effective(args, config, "samples", 100_000, int)
+    _check_sizes({"n": n, "horizon": T})
+    _check_sizes({"reps": reps, "samples": samples}, least=2)
     seed = _resolve_seed(args, config)
     cfg = {"command": "verify", "suite": suite, "n": n, "horizon": T,
            "reps": reps, "samples": samples, "seed": seed}
     print("seed", seed, "digest", _digest(cfg))
 
-    if suite == "hc":
-        report = verify.run_suite_with_retry(verify.hc_suite, seed,
-                                             samples=samples)
-    elif suite == "imhof":
-        report = verify.run_suite_with_retry(verify.imhof_suite, seed,
-                                             n=n, horizon=T, reps=reps)
-    elif suite == "marginals":
-        report = verify.run_suite_with_retry(verify.marginals_suite, seed,
-                                             n=n, horizon=T, reps=reps)
-    else:
-        report = verify.run_suite_with_retry(verify.densities_suite, seed,
-                                             mc_samples=samples)
+    sde_sizes = {"n": n, "horizon": T, "reps": reps}
+    suite_fn, sizes = {
+        "hc": (verify.hc_suite, {"samples": samples}),
+        "imhof": (verify.imhof_suite, sde_sizes),
+        "marginals": (verify.marginals_suite, sde_sizes),
+        "densities": (verify.densities_suite, {"mc_samples": samples}),
+    }[suite]
+    report = verify.run_suite_with_retry(suite_fn, seed, **sizes)
     report["schema_version"] = 1
     report["config"] = cfg
     text = json.dumps(report, indent=2, sort_keys=True,
@@ -295,10 +311,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _load_config(args.config) if args.config else {}
-    return args.func(args, config)
+    args = build_parser().parse_args(argv)
+    try:
+        config = _load_config(args.config) if args.config else {}
+        return args.func(args, config)
+    except _UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,14 @@ class MCEstimate:
     se: float
     samples: int
 
+    @classmethod
+    def of(cls, values):
+        """Sample mean of a 1-d array of values and its standard error
+        std(ddof=1) / sqrt(n)."""
+        n = values.size
+        return cls(float(values.mean()),
+                   float(values.std(ddof=1) / math.sqrt(n)), n)
+
 
 def constants(n):
     """Normalization constants for the N-particle / N x N densities."""
@@ -67,7 +75,7 @@ def transition_density(t, x, y):
 def _pairs(t, xs):
     """Index pairs i < j of a batch xs (..., N) and the scaled gaps
     u_ij = (x_j - x_i) / (2 sqrt t) at those pairs, shape (..., N(N-1)/2)."""
-    iu, ju = np.triu_indices(xs.shape[-1], k=1)
+    iu, ju = linalg.pair_index(xs.shape[-1])
     return iu, ju, (xs[..., ju] - xs[..., iu]) / (2.0 * math.sqrt(t))
 
 
@@ -286,9 +294,7 @@ def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
         # a dead sample keeps weight 0 whatever its later gaps
         weight *= (b > 0).all(axis=0)
         a = b
-    mean = float(weight.mean())
-    se = float(weight.std(ddof=1) / math.sqrt(samples))
-    return MCEstimate(mean, se, samples)
+    return MCEstimate.of(weight)
 
 
 def survival_probability(t, x, method="pfaffian", rng=None):
@@ -325,8 +331,9 @@ def h_transform_density(s, x, t, y):
 def finite_horizon_density(T, s, x, t, y):
     """Transition density of particles conditioned not to collide on (0, T].
 
-    Start at the origin with (s, x) = (0, None).  y may be a batch (..., N).
-    The survival factors use the fast Pfaffian evaluator.
+    Start at the origin with (s, x) = (0, None), where it is the GOE density
+    times (T/t)^(N(N-1)/4) times survival over T - t.  y may be a batch
+    (..., N).  The survival factors use the fast Pfaffian evaluator.
     """
     if t > T:
         raise ValueError("need t <= T")
@@ -338,10 +345,8 @@ def finite_horizon_density(T, s, x, t, y):
     if x is None:
         if s != 0:
             raise ValueError("origin start requires s = 0")
-        c = constants(n)
-        h = linalg.vandermonde(y)
-        val = (T ** (n * (n - 1) / 4.0) * t ** (-n * n / 2.0) / c.c2
-               * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t)) * h * surv_y)
+        val = (eigenvalue_density("goe", y, t)
+               * (T / t) ** (n * (n - 1) / 4.0) * surv_y)
         return val if y.ndim > 1 else float(val)
     x = linalg.weyl_vector(x)
     surv_x = survival_pfaffian(T - s, x)

@@ -37,28 +37,21 @@ def hc_monte_carlo(x, y, sigma, samples, rng):
     y = linalg.weyl_vector(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
+    if samples < 2:
+        raise ValueError("need at least 2 samples, got %r" % (samples,))
     n = x.size
     gen = as_generator(rng)
     if n == 1:
         val = math.exp(-((x[0] - y[0]) ** 2) / (2.0 * sigma ** 2))
         return MCEstimate(val, 0.0, samples)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_HC_BATCH, samples - done)
-        u = haar_unitary(n, gen, size=m)
+    vals = np.empty(samples)
+    for i in range(0, samples, _HC_BATCH):
+        u = haar_unitary(n, gen, size=min(_HC_BATCH, samples - i))
         a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u)
         a[:, np.arange(n), np.arange(n)] -= x
         tr2 = np.real(np.einsum("sij,sji->s", a, a))
-        vals = np.exp(-tr2 / (2.0 * sigma ** 2))
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        done += m
-    mean = total / samples
-    var = max(0.0, total_sq / samples - mean * mean)
-    se = math.sqrt(var / samples)
-    return MCEstimate(float(mean), float(se), samples)
+        vals[i:i + tr2.size] = np.exp(-tr2 / (2.0 * sigma ** 2))
+    return MCEstimate.of(vals)
 
 
 def hc_closed_form(x, y, sigma):
@@ -92,12 +85,9 @@ def convolution_mc(n, T, t, H, samples, rng):
     H - A over symmetric draws A."""
     H = linalg.check_hermitian(H)
     sigma2, alpha = interpolation_scales(T, t)
-    gen = as_generator(rng)
-    a = paths.sample_goe(n, 1.0 / alpha, samples, gen)
-    vals = densities.matrix_density("gue", H[None, :, :] - a, sigma2)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return MCEstimate(mean, se, samples)
+    a = paths.sample_goe(n, 1.0 / alpha, samples, rng)
+    return MCEstimate.of(
+        densities.matrix_density("gue", H[None, :, :] - a, sigma2))
 
 
 def convolution_quadrature(n, T, t, H, rel_tol=1e-6):
@@ -132,18 +122,14 @@ def interpolation_identity_check(n, T, t, y, haar_samples, rng):
     diagonal matrix of y by Haar unitaries; its eigenvalue-space counterpart
     is the finite-horizon chamber density at y."""
     y = linalg.weyl_vector(y)
-    gen = as_generator(rng)
     c = densities.constants(n)
     cu = c.c3 / c.c1
     hy2 = linalg.vandermonde(y) ** 2
-    u = haar_unitary(n, gen, size=haar_samples)
+    u = haar_unitary(n, rng, size=haar_samples)
     vals = np.empty(haar_samples)
     for k in range(haar_samples):
         h = np.einsum("ji,j,jk->ik", np.conj(u[k]), y, u[k])
         vals[k] = convolution_quadrature(n, T, t, h, rel_tol=1e-5)
     vals *= cu * hy2
-    est = MCEstimate(float(vals.mean()),
-                     float(vals.std(ddof=1) / math.sqrt(haar_samples)),
-                     haar_samples)
     target = float(densities.finite_horizon_density(T, 0, None, t, y))
-    return est, target
+    return MCEstimate.of(vals), target

@@ -1,6 +1,8 @@
 """Deterministic linear-algebra kernels: ordered eigenvalues,
 Pfaffians, Vandermonde products, and the one-dimensional heat kernel."""
 
+import functools
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -45,6 +47,15 @@ def check_skew(A):
     return A
 
 
+@functools.lru_cache(maxsize=32)
+def pair_index(n):
+    """Index arrays (i, j) of the pairs i < j of n coordinates in
+    np.triu_indices(n, 1) order, computed once per n and shared read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def vandermonde(x):
     """Product of (x_j - x_i) over all pairs i < j of the last axis: a float
     for one vector, an array of shape x.shape[:-1] for a batch (..., N).
@@ -52,7 +63,7 @@ def vandermonde(x):
     Nonnegative for ordered input; zero when two coordinates coincide.
     """
     x = np.asarray(x, dtype=float)
-    iu, ju = np.triu_indices(x.shape[-1], k=1)
+    iu, ju = pair_index(x.shape[-1])
     h = np.prod(x[..., ju] - x[..., iu], axis=-1)
     return float(h) if x.ndim == 1 else h
 

@@ -29,11 +29,6 @@ class TimeGrid:
             raise ValueError("grid extends beyond the horizon")
         object.__setattr__(self, "times", t)
 
-    @property
-    def mesh(self):
-        return float(np.max(np.diff(self.times))) if self.times.size > 1 \
-            else 0.0
-
     @classmethod
     def uniform(cls, horizon, steps):
         return cls(np.linspace(0.0, horizon, steps + 1), horizon)
@@ -48,9 +43,9 @@ class MatrixPath:
 def _hermitian(diag, upper):
     """Hermitian (or real symmetric) stack (..., n, n) from its diagonal
     (n, ...) and its strict upper triangle (n(n-1)/2, ...), entries along
-    the leading axis, the triangle in np.triu_indices(n, 1) order."""
+    the leading axis, the triangle in linalg.pair_index(n) order."""
     n = diag.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = linalg.pair_index(n)
     out = np.zeros(diag.shape[1:] + (n, n), dtype=np.result_type(diag, upper))
     out[..., np.arange(n), np.arange(n)] = np.moveaxis(diag, 0, -1)
     out[..., iu, ju] = np.moveaxis(upper, 0, -1)
@@ -74,17 +69,21 @@ def _brownian_batch(times, m, gen):
     return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
-def _bridge_batch(times, T, endpoints, gen):
-    """Bridges of duration T from 0 to each endpoint: (m, K) values on the
-    grid, by the exact identity bridge(t) = W(t) - (t/T)(W(T) - b).  A grid
-    ending at T ends exactly at the endpoints."""
-    if times[-1] > T + 1e-12:
-        raise ValueError("grid extends beyond the bridge duration")
-    at_end = abs(times[-1] - T) < 1e-14
-    w = _brownian_batch(times if at_end else np.append(times, T),
-                        endpoints.size, gen)
+def _through_horizon(grid):
+    """The grid times, with the horizon appended unless they end there."""
+    t = grid.times
+    return t if abs(t[-1] - grid.horizon) < 1e-14 \
+        else np.append(t, grid.horizon)
+
+
+def _bridge_batch(grid, endpoints, gen):
+    """Bridges from 0 to each endpoint, pinned at the grid's horizon T:
+    (m, K) values on the grid, by the exact identity bridge(t) = W(t) -
+    (t/T)(W(T) - b).  A grid ending at T ends exactly at the endpoints."""
+    times, T = grid.times, grid.horizon
+    w = _brownian_batch(_through_horizon(grid), endpoints.size, gen)
     vals = w[:, :times.size] - (times / T) * (w[:, -1:] - endpoints[:, None])
-    if at_end:
+    if w.shape[1] == times.size:
         vals[:, -1] = endpoints
     return vals
 
@@ -95,37 +94,33 @@ def sample_brownian(grid, rng):
     return _brownian_batch(grid.times, 1, as_generator(rng))[0]
 
 
-def sample_bridge(grid, T, endpoint, rng):
-    """Brownian bridge of duration T from 0 to endpoint: its (K,) values on
-    the grid."""
-    return _bridge_batch(grid.times, T, np.array([float(endpoint)]),
+def sample_bridge(grid, endpoint, rng):
+    """Brownian bridge from 0 to endpoint at the grid's horizon: its (K,)
+    values on the grid."""
+    return _bridge_batch(grid, np.array([float(endpoint)]),
                          as_generator(rng))[0]
 
 
 @dataclass
 class XiTDrivers:
     """Scalar drivers of one finite-horizon matrix-process realization:
-    Brownian paths for every i <= j (with their value at the horizon) and
-    duration-T bridges ending at 0 for every i < j."""
+    Brownian paths for every i <= j (with their value at the grid's
+    horizon) and bridges pinned to 0 at the horizon for every i < j."""
     n: int
     grid: TimeGrid
-    horizon: float
     breal: np.ndarray      # (n_pairs_leq, K) Brownian values on grid
     breal_end: np.ndarray  # (n_pairs_leq,) Brownian values at the horizon
     bridges: np.ndarray    # (n_pairs_lt, K) bridge values on grid
 
 
-def sample_xit_drivers(n, grid, T, rng):
+def sample_xit_drivers(n, grid, rng):
     """Sample the independent scalar drivers of the finite-horizon process."""
     gen = as_generator(rng)
-    times = grid.times
-    if times[-1] > T + 1e-12:
-        raise ValueError("grid extends beyond the horizon")
+    k = grid.times.size
     # Brownian drivers, extended to the horizon for the decomposition
-    ext = times if abs(times[-1] - T) < 1e-14 else np.append(times, T)
-    bre = _brownian_batch(ext, n * (n + 1) // 2, gen)
-    bridges = _bridge_batch(times, T, np.zeros(n * (n - 1) // 2), gen)
-    return XiTDrivers(n, grid, T, bre[:, :times.size], bre[:, -1], bridges)
+    bre = _brownian_batch(_through_horizon(grid), n * (n + 1) // 2, gen)
+    bridges = _bridge_batch(grid, np.zeros(n * (n - 1) // 2), gen)
+    return XiTDrivers(n, grid, bre[:, :k], bre[:, -1], bridges)
 
 
 def xit_from_drivers(drivers):
@@ -134,20 +129,18 @@ def xit_from_drivers(drivers):
         drivers.n, drivers.breal, drivers.bridges))
 
 
-def build_matrix_process(kind, n, grid, rng, T=None):
+def build_matrix_process(kind, n, grid, rng):
     """Sample one realization of a Hermitian matrix-valued process.
 
     kind: "gue" (Brownian real and imaginary parts), "goe" (real symmetric
     Brownian), or "xit" (Brownian real parts, bridge imaginary parts pinned
-    to 0 at the horizon T).
+    to 0 at the grid's horizon).
     """
     gen = as_generator(rng)
     kind = kind.lower()
     times = grid.times
     if kind == "xit":
-        if T is None:
-            raise ValueError("xit needs a horizon T")
-        return xit_from_drivers(sample_xit_drivers(n, grid, T, gen))
+        return xit_from_drivers(sample_xit_drivers(n, grid, gen))
     if kind not in ("gue", "goe"):
         raise ValueError("unknown process kind %r" % (kind,))
     n_lt = n * (n - 1) // 2
@@ -157,8 +150,8 @@ def build_matrix_process(kind, n, grid, rng, T=None):
     return MatrixPath(grid, _hermitian_path(n, bre, bim))
 
 
-def build_pinned_process(n, grid, T, H, rng):
-    """Finite-horizon process pinned to end exactly at the Hermitian matrix H.
+def build_pinned_process(n, grid, H, rng):
+    """Finite-horizon process pinned to equal the Hermitian H at the horizon.
 
     Every scalar component is an independent bridge; off-diagonal components
     end at sqrt(2) times the corresponding entry before the 1/sqrt(2)
@@ -171,8 +164,8 @@ def build_pinned_process(n, grid, T, H, rng):
     iu, ju = np.triu_indices(n)
     ends_re = H[iu, ju].real * np.where(iu == ju, 1.0, math.sqrt(2.0))
     ends_im = H[iu, ju][iu != ju].imag * math.sqrt(2.0)
-    bre = _bridge_batch(grid.times, T, ends_re, gen)
-    bim = _bridge_batch(grid.times, T, ends_im, gen)
+    bre = _bridge_batch(grid, ends_re, gen)
+    bim = _bridge_batch(grid, ends_im, gen)
     return MatrixPath(grid, _hermitian_path(n, bre, bim))
 
 
@@ -181,7 +174,7 @@ def theta_decomposition(drivers):
     a complex Hermitian Gaussian ensemble at every fixed time) and the
     endpoint part (real symmetric), summing exactly to the original path."""
     n, grid = drivers.n, drivers.grid
-    slope = drivers.breal_end[:, None] * (grid.times / drivers.horizon)
+    slope = drivers.breal_end[:, None] * (grid.times / grid.horizon)
     theta1 = _hermitian_path(n, drivers.breal - slope, drivers.bridges)
     theta2 = _hermitian_path(n, slope, np.zeros_like(drivers.bridges))
     return MatrixPath(grid, theta1), MatrixPath(grid, theta2)
@@ -195,33 +188,35 @@ def eigenvalue_path(mp):
 # Fast single-time marginal samplers (exact laws, used by the statistical
 # verification suites where whole paths are not needed).
 
-def sample_gue(n, t, size, rng):
-    """(size, n, n) Hermitian draws from the GUE law at variance scale t."""
+def _gaussian_hermitian(n, t, var_im, size, rng):
+    """(size, n, n) draws with diagonal entries N(0, t) and off-diagonal
+    entries (a + i b) / sqrt(2), a ~ N(0, t), b ~ N(0, var_im): the diagonal
+    first, then (a, b) pair by pair, each over the whole batch.  Real
+    symmetric, with no b drawn, when var_im is None."""
     gen = as_generator(rng)
     d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    z = gen.normal(scale=math.sqrt(t / 2.0),
-                   size=(n * (n - 1) // 2, 2, size))
-    return _hermitian(d.T, z[:, 0] + 1j * z[:, 1])
+    var = [t] if var_im is None else [t, var_im]
+    z = gen.normal(scale=[[math.sqrt(v / 2.0)] for v in var],
+                   size=(n * (n - 1) // 2, len(var), size))
+    return _hermitian(d.T, z[:, 0] if var_im is None
+                      else z[:, 0] + 1j * z[:, 1])
+
+
+def sample_gue(n, t, size, rng):
+    """(size, n, n) Hermitian draws from the GUE law at variance scale t."""
+    return _gaussian_hermitian(n, t, t, size, rng)
 
 
 def sample_goe(n, t, size, rng):
     """(size, n, n) symmetric draws from the GOE law at variance scale t."""
-    gen = as_generator(rng)
-    d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    v = gen.normal(scale=math.sqrt(t / 2.0), size=(n * (n - 1) // 2, size))
-    return _hermitian(d.T, v)
+    return _gaussian_hermitian(n, t, None, size, rng)
 
 
 def sample_xit_marginal(n, t, T, size, rng):
     """(size, n, n) draws of the finite-horizon process at a fixed time t."""
     if not 0 < t <= T:
         raise ValueError("need 0 < t <= T")
-    gen = as_generator(rng)
-    d = gen.normal(scale=math.sqrt(t), size=(size, n))
-    var_im = t * (T - t) / T
-    scale = [[math.sqrt(t / 2.0)], [math.sqrt(var_im / 2.0)]]
-    z = gen.normal(scale=scale, size=(n * (n - 1) // 2, 2, size))
-    return _hermitian(d.T, z[:, 0] + 1j * z[:, 1])
+    return _gaussian_hermitian(n, t, t * (T - t) / T, size, rng)
 
 
 def matrix_path_csv_rows(mp):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densities, paths
+from . import densities, linalg, paths
 from .rng import substream
 
 _NEWTON_MAX_ITER = 50
@@ -46,9 +46,7 @@ class SDEConfig:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.start is not None:
-            self.start = np.asarray(self.start, dtype=float)
-            if np.any(np.diff(self.start) <= 0):
-                raise ValueError("start point must be strictly ordered")
+            self.start = linalg.weyl_vector(self.start)
 
 
 @dataclass
@@ -86,15 +84,12 @@ def drift_bT(t, x, T):
     """Drift of the finite-horizon system at time t and state x."""
     if t >= T:
         raise ValueError("drift is only defined for t < T")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("state must be strictly ordered")
-    return densities.survival_log_gradient(T - t, x)
+    return densities.survival_log_gradient(T - t, linalg.weyl_vector(x))
 
 
 def _phi(y, a, dt):
     """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (m, n)."""
-    iu, ju = np.triu_indices(y.shape[-1], 1)
+    iu, ju = linalg.pair_index(y.shape[-1])
     return (0.5 * ((y - a) ** 2).sum(-1)
             - dt * np.log(y[:, ju] - y[:, iu]).sum(-1))
 

@@ -9,6 +9,7 @@ from scipy.special import kolmogorov
 from scipy.integrate import cumulative_trapezoid
 
 from . import densities, haar, linalg, paths, sde
+from .densities import MCEstimate
 from .rng import substream
 
 P_THRESHOLD = 0.01
@@ -95,13 +96,6 @@ def _interp_cdf(xs, ys):
     return cdf
 
 
-def pooled_cdf(cdfs):
-    """Average of coordinate CDFs: CDF of a coordinate chosen uniformly."""
-    def cdf(v):
-        return sum(c(v) for c in cdfs) / len(cdfs)
-    return cdf
-
-
 def _report(suite, tests, allowed, **fields):
     """A suite's report: its fields, its tests, and whether no more than
     allowed of them failed."""
@@ -163,15 +157,9 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     x_mid = res_x.at_time(T / 2)
     w = const / linalg.vandermonde(y_end)
 
-    tests = []
-
-    def mc(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
-    norm_mean, norm_se = mc(w)
-    tests.append({"name": "normalization", "value": norm_mean,
-                  "se": norm_se, "target": 1.0,
-                  "pass": abs(norm_mean - 1.0) <= 3 * norm_se})
+    norm = MCEstimate.of(w)
+    tests = [{"name": "normalization", "value": norm.mean, "se": norm.se,
+              "target": 1.0, "pass": abs(norm.mean - 1.0) <= 3 * norm.se}]
 
     functionals = {
         "midpoint gap indicator":
@@ -180,13 +168,13 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
             lambda mid, end: np.exp(-np.sum(end * end, axis=1) / 4.0),
     }
     for name, phi in functionals.items():
-        direct, direct_se = mc(phi(x_mid, x_end))
-        rew_vals = phi(y_mid, y_end) * w
-        rew, rew_se = mc(rew_vals)
-        joint = math.sqrt(direct_se ** 2 + rew_se ** 2)
-        tests.append({"name": name, "direct": direct, "direct_se": direct_se,
-                      "reweighted": rew, "reweighted_se": rew_se,
-                      "pass": abs(direct - rew) <= 3 * joint})
+        direct = MCEstimate.of(phi(x_mid, x_end))
+        rew = MCEstimate.of(phi(y_mid, y_end) * w)
+        joint = math.sqrt(direct.se ** 2 + rew.se ** 2)
+        tests.append({"name": name, "direct": direct.mean,
+                      "direct_se": direct.se, "reweighted": rew.mean,
+                      "reweighted_se": rew.se,
+                      "pass": abs(direct.mean - rew.mean) <= 3 * joint})
     return _report("imhof", tests, 0, n=n, horizon=T, reps=reps, seed=seed,
                    constant=const)
 

@@ -205,6 +205,42 @@ class TestVerify:
             run(["verify", "hc", "--threads", "4"])
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("text", [None, "n 3\n", "n = two\n",
+                                      "steps = 8\nhorizon = long\n"],
+                             ids=["missing-file", "no-equals", "bad-int",
+                                  "bad-float"])
+    def test_bad_config_refused(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "cfg"
+        if text is not None:
+            cfgfile.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run(["--config", str(cfgfile), "simulate", "--model", "gue",
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_bad_env_seed_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NONCOLBM_SEED", "12x")
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--model", "gue", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: NONCOLBM_SEED")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["marginals", "--reps", "0"], ["marginals", "--reps", "1"],
+        ["marginals", "--reps", "50", "--n", "0"],
+        ["marginals", "--reps", "50", "--horizon", "0"],
+        ["imhof", "--reps", "50", "--horizon", "-1"],
+        ["hc", "--samples", "1"], ["densities", "--samples", "0"]],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+    def test_verify_bad_size_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run(["verify", *argv, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + argv[-2])
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfgfile = tmp_path / "cfg"

@@ -74,6 +74,25 @@ class TestGaussianGroupIntegral:
         rhs = haar.hc_closed_form(x, y, 1.2)
         assert abs(est.mean - rhs) <= 3 * est.se
 
+    @pytest.mark.parametrize("samples", [2, 50, 20_000])
+    def test_mc_se_is_sample_std(self, samples):
+        # up to 20 000 samples are one Haar block, so the values can be
+        # recomputed from the same substream
+        x, y, s = np.array([-1.0, 0.0, 1.0]), np.array([-0.8, 0.2, 1.5]), 1.2
+        est = haar.hc_monte_carlo(x, y, s, samples, substream(69))
+        u = haar.haar_unitary(3, substream(69), size=samples)
+        a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u) - np.diag(x)
+        vals = np.exp(-np.real(np.einsum("sij,sji->s", a, a)) / (2 * s * s))
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        assert est.se == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(samples), rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_rejects_fewer_than_two_samples(self, samples):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            haar.hc_monte_carlo([0.0, 1.0], [0.0, 1.0], 1.0, samples,
+                                substream(70))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             haar.hc_monte_carlo([0.0, 1.0], [0.0], 1.0, 10, substream(68))

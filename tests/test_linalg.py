@@ -73,6 +73,17 @@ class TestVandermonde:
                 -linalg.vandermonde(x), rel=1e-10)
 
 
+class TestPairIndex:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_triu_order_cached_read_only(self, n):
+        iu, ju = linalg.pair_index(n)
+        ref_i, ref_j = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(iu, ref_i)
+        np.testing.assert_array_equal(ju, ref_j)
+        assert linalg.pair_index(n)[0] is iu
+        assert not iu.flags.writeable and not ju.flags.writeable
+
+
 class TestHeatKernel:
     def test_diagonal_t1(self):
         assert linalg.heat_kernel(1.0, 0.0, 0.0) == pytest.approx(

@@ -58,7 +58,6 @@ class TestTimeGrid:
     def test_uniform(self):
         g = paths.TimeGrid.uniform(2.0, 4)
         np.testing.assert_allclose(g.times, [0, 0.5, 1.0, 1.5, 2.0])
-        assert g.mesh == pytest.approx(0.5)
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -100,13 +99,13 @@ class TestBrownian:
 class TestBridge:
     def test_pins_endpoint_exactly(self):
         g = paths.TimeGrid.uniform(1.0, 8)
-        p = paths.sample_bridge(g, 1.0, 2.5, substream(5))
+        p = paths.sample_bridge(g, 2.5, substream(5))
         assert p[-1] == 2.5
 
     def test_midpoint_variance(self):
         T, m = 1.0, 20_000
         g = paths.TimeGrid.uniform(T, 2)
-        mids = np.array([paths.sample_bridge(g, T, 0.0, substream(6, i))[1]
+        mids = np.array([paths.sample_bridge(g, 0.0, substream(6, i))[1]
                          for i in range(m)])
         var = mids.var()
         se = math.sqrt(2.0) * (T / 4) / math.sqrt(m)
@@ -115,22 +114,17 @@ class TestBridge:
     def test_mean_is_linear_interpolation(self):
         T, y, m = 2.0, 3.0, 20_000
         g = paths.TimeGrid.uniform(T, 4)
-        vals = np.array([paths.sample_bridge(g, T, y, substream(7, i))
+        vals = np.array([paths.sample_bridge(g, y, substream(7, i))
                          for i in range(m)])
         for k, t in enumerate(g.times):
             se = math.sqrt(t * (T - t) / T / m) if 0 < t < T else 0.0
             assert abs(vals[:, k].mean() - t / T * y) <= max(3 * se, 1e-12)
 
-    def test_rejects_grid_beyond_duration(self):
-        with pytest.raises(ValueError):
-            paths.sample_bridge(paths.TimeGrid.uniform(2.0, 4), 1.0, 0.0,
-                                substream(8))
-
 
 class TestMatrixProcesses:
     def test_xit_real_at_horizon(self):
         g = paths.TimeGrid.uniform(1.0, 16)
-        mp = paths.build_matrix_process("xit", 3, g, substream(9), T=1.0)
+        mp = paths.build_matrix_process("xit", 3, g, substream(9))
         assert np.abs(mp.values[-1].imag).max() == 0.0
 
     def test_hermitian_along_path(self):
@@ -186,7 +180,7 @@ class TestPinnedProcess:
     def test_ends_exactly_at_target(self):
         g = paths.TimeGrid.uniform(1.0, 8)
         h = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.5]])
-        mp = paths.build_pinned_process(2, g, 1.0, h, substream(14))
+        mp = paths.build_pinned_process(2, g, h, substream(14))
         np.testing.assert_array_equal(mp.values[-1], h)
 
     def test_zero_target_zero_mean(self):
@@ -195,7 +189,7 @@ class TestPinnedProcess:
         acc = np.zeros((len(g.times), 2, 2), dtype=complex)
         for i in range(m):
             acc += paths.build_pinned_process(
-                2, g, 1.0, np.zeros((2, 2)), substream(15, i)).values
+                2, g, np.zeros((2, 2)), substream(15, i)).values
         assert np.abs(acc / m).max() < 0.05
 
     def test_gue_endpoint_recovers_gue_marginal(self):
@@ -207,7 +201,7 @@ class TestPinnedProcess:
         for i in range(m):
             gen = substream(16, i)
             h = paths.sample_gue(2, T, 1, gen)[0]
-            mp = paths.build_pinned_process(2, g, T, h, gen)
+            mp = paths.build_pinned_process(2, g, h, gen)
             ev_pinned.append(np.linalg.eigvalsh(mp.values[1]))
         ev_pinned = np.array(ev_pinned)
         ev_gue = np.linalg.eigvalsh(paths.sample_gue(2, t, m, substream(17)))
@@ -222,7 +216,7 @@ class TestPinnedProcess:
         for i in range(m):
             gen = substream(18, i)
             a = paths.sample_goe(2, T, 1, gen)[0].astype(complex)
-            mp = paths.build_pinned_process(2, g, T, a, gen)
+            mp = paths.build_pinned_process(2, g, a, gen)
             ev_pinned.append(np.linalg.eigvalsh(mp.values[1]))
         ev_pinned = np.array(ev_pinned)
         ev_xit = np.linalg.eigvalsh(
@@ -241,11 +235,10 @@ class TestPinnedProcess:
         h = np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, -0.2]])
         ev_a, ev_b = [], []
         for i in range(m):
-            mp = paths.build_pinned_process(2, g, T, h, substream(31, i))
+            mp = paths.build_pinned_process(2, g, h, substream(31, i))
             ev_a.append(np.linalg.eigvalsh(
                 u.conj().T @ mp.values[1] @ u))
-            mp = paths.build_pinned_process(2, g, T,
-                                            u.conj().T @ h @ u,
+            mp = paths.build_pinned_process(2, g, u.conj().T @ h @ u,
                                             substream(32, i))
             ev_b.append(np.linalg.eigvalsh(mp.values[1]))
         ev_a, ev_b = np.array(ev_a), np.array(ev_b)
@@ -255,14 +248,14 @@ class TestPinnedProcess:
     def test_rejects_non_hermitian_target(self):
         with pytest.raises(ValueError):
             paths.build_pinned_process(2, paths.TimeGrid.uniform(1.0, 2),
-                                       1.0, np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                       np.array([[0.0, 1.0], [0.0, 0.0]]),
                                        substream(33))
 
 
 class TestThetaDecomposition:
     def test_sum_is_exact(self):
         g = paths.TimeGrid.uniform(1.0, 16)
-        dr = paths.sample_xit_drivers(3, g, 1.0, substream(34))
+        dr = paths.sample_xit_drivers(3, g, substream(34))
         t1, t2 = paths.theta_decomposition(dr)
         x = paths.xit_from_drivers(dr)
         np.testing.assert_allclose(t1.values + t2.values, x.values,
@@ -274,7 +267,7 @@ class TestThetaDecomposition:
         d1 = np.empty(m)
         d2 = np.empty(m)
         for i in range(m):
-            dr = paths.sample_xit_drivers(2, g, T, substream(35, i))
+            dr = paths.sample_xit_drivers(2, g, substream(35, i))
             t1, t2 = paths.theta_decomposition(dr)
             d1[i] = t1.values[1, 0, 0].real
             d2[i] = t2.values[1, 0, 0].real
@@ -310,6 +303,6 @@ class TestEigenvaluePath:
 
     def test_reproducibility(self):
         g = paths.TimeGrid.uniform(1.0, 16)
-        a = paths.build_matrix_process("xit", 2, g, substream(38), T=1.0)
-        b = paths.build_matrix_process("xit", 2, g, substream(38), T=1.0)
+        a = paths.build_matrix_process("xit", 2, g, substream(38))
+        b = paths.build_matrix_process("xit", 2, g, substream(38))
         np.testing.assert_array_equal(a.values, b.values)

@@ -93,11 +93,6 @@ class TestMarginalCDFs:
         np.testing.assert_allclose(cdfs[0](vs), 1.0 - cdfs[1](-vs),
                                    atol=2e-3)
 
-    def test_pooled_cdf_is_average(self):
-        c1 = lambda v: np.asarray(v) * 0.0
-        c2 = lambda v: np.asarray(v) * 0.0 + 1.0
-        assert verify.pooled_cdf([c1, c2])(0.3) == pytest.approx(0.5)
-
 
 class TestSuites:
     def test_hc_suite_passes(self):
