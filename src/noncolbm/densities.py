@@ -5,6 +5,7 @@ three independent evaluation strategies (Pfaffian, quadrature, Monte Carlo).
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,13 @@ def _pfaffian(e):
     return linalg._pfaffian_batch(e)
 
 
+def _check_time(t):
+    """Refuse a survival horizon that is negative, infinite or NaN."""
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be nonnegative and finite, got %r"
+                         % (t,))
+
+
 def survival_pfaffian(t, x):
     """No-collision probability via the Pfaffian of the erf-entry matrix.
 
@@ -116,8 +124,7 @@ def survival_pfaffian(t, x):
     batch of start vectors (..., N).  t == 0 returns 1 for strict input.
     """
     xs = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if xs.shape[-1] == 1 or t == 0:
         out = np.ones(xs.shape[:-1])
         return out if xs.ndim > 1 else float(out)
@@ -239,8 +246,7 @@ def survival_quadrature(t, x, rel_tol=1e-6):
     if n > QUAD_MAX_DIM:
         raise ValueError("quadrature survival limited to N <= %d"
                          % QUAD_MAX_DIM)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if n == 1 or t == 0:
         return 1.0
     lo, hi = _chamber_box(t, x)
@@ -254,47 +260,69 @@ def survival_quadrature(t, x, rel_tol=1e-6):
     return chamber_integrate(reduced_density, n - 1, lo, hi, rel_tol=rel_tol)
 
 
+def _gap_factor(n):
+    """Lower-bidiagonal Cholesky factor L of tridiag(-1, 2, -1), the
+    covariance per unit time of the N-1 adjacent gap increments of N
+    independent Brownian motions, as its diagonal L_ii = sqrt((i+1)/i) and
+    subdiagonal L_i,i-1 = -sqrt((i-1)/i), i = 1..N-1."""
+    i = np.arange(1.0, n)
+    return np.sqrt((i + 1.0) / i), -np.sqrt((i[1:] - 1.0) / i[1:])
+
+
 def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
     """No-collision probability by simulating N independent Brownian paths.
 
-    Each discrete step is weighted by the exact bridge non-crossing
-    probability of every adjacent gap, which removes most of the
-    discretization bias.  Positions are held as (N, samples), so gaps are
-    row differences; each step draws one (samples, N) block of normals.
-    t == 0 returns MCEstimate(1, 0, samples) for strict input.
+    Only the N-1 adjacent gaps are simulated, held as (N-1, live) for the
+    samples still alive.  Each step draws one (N-1, live) block of standard
+    normals, live samples in index order, and maps it through the bidiagonal
+    factor of the gap covariance (_gap_factor).  Each step is weighted by the
+    exact bridge non-crossing probability prod(1 - exp(-a b / dt)) of the
+    gaps a before and b after it, which removes most of the discretization
+    bias.  A sample with a gap <= 0 at a grid point has weight 0 for good: it
+    is dropped from the working arrays and no longer draws normals, and the
+    loop stops once none is left.  The estimate is the mean over all samples,
+    dead ones included.  t == 0 returns MCEstimate(1, 0, samples) for strict
+    input.
     """
     x = linalg.weyl_vector(x)
     n = x.size
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least 2 samples, got %r" % (samples,))
-    if steps < 1:
-        raise ValueError("need at least 1 step, got %r" % (steps,))
+    _check_time(t)
+    for name, value, least in (("samples", samples, 2), ("steps", steps, 1)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError("%s must be an integer >= %d, got %r"
+                             % (name, least, value))
     if n == 1 or t == 0:
         return MCEstimate(1.0, 0.0, samples)
     gen = as_generator(rng)
     dt = t / steps
-    sq = math.sqrt(dt)
-    pos = np.repeat(x[:, None], samples, axis=1)
-    a = pos[1:] - pos[:-1]
+    diag, sub = _gap_factor(n)
+    diag = (math.sqrt(dt) * diag)[:, None]
+    sub = (math.sqrt(dt) * sub)[:, None]
+    a = np.repeat(np.diff(x)[:, None], samples, axis=1)
     weight = np.ones(samples)
+    alive = np.arange(samples)
     for _ in range(steps):
-        step = gen.normal(size=(samples, n))
-        step *= sq
-        pos += step.T
-        b = pos[1:] - pos[:-1]
-        # gap processes have variance rate 2; bridge hit prob exp(-ab/dt),
-        # computed in a's buffer, then turned into the no-hit prob 1 - hit
+        z = gen.normal(size=a.shape)
+        b = z * diag
+        b[1:] += z[:-1] * sub
+        b += a
+        keep = (b > 0).all(axis=0)
+        if not keep.all():
+            a, b = a[:, keep], b[:, keep]
+            weight, alive = weight[keep], alive[keep]
+            if not alive.size:
+                break
+        # gap processes have variance rate 2; the bridge hit prob
+        # exp(-ab/dt) is computed in a's buffer (a, b > 0 for live samples),
+        # then turned into the no-hit prob 1 - hit
         hit = np.multiply(a, b, out=a)
-        np.maximum(hit, 0.0, out=hit)
         hit /= -dt
         np.exp(hit, out=hit)
         weight *= np.prod(np.subtract(1.0, hit, out=hit), axis=0)
-        # a dead sample keeps weight 0 whatever its later gaps
-        weight *= (b > 0).all(axis=0)
         a = b
-    return MCEstimate.of(weight)
+    out = np.zeros(samples)
+    out[alive] = weight
+    return MCEstimate.of(out)
 
 
 def survival_probability(t, x, method="pfaffian", rng=None):

@@ -171,6 +171,14 @@ class TestDensity:
         assert run(["density", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["pfaffian", "quadrature",
+                                        "montecarlo"])
+    def test_nonfinite_survival_time_exits_two(self, capsys, method, t):
+        assert run(["density", "--name", "survival", "--method", method,
+                    "--t", t, "--x", "0,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: time must be")
+
 
 class TestVerify:
     def test_hc_suite_exit_zero_and_schema(self, tmp_path, capsys):
