@@ -83,37 +83,53 @@ def _effective(args, config, key, default, cast):
                           % (key, config[key], cast.__name__)) from None
 
 
-def _check_sizes(sizes, least=0):
-    """Refuse the first flag of sizes (flag -> value) whose value is not
-    positive, or is below least."""
-    for flag, val in sizes.items():
-        if not (val > 0 and val >= least):
-            raise _UsageError("--%s must be %s, got %r" % (
-                flag, "at least %d" % least if least else "positive", val))
-
-
-def _resolve_seed(args, config):
-    seed = _effective(args, config, "seed", None, int)
-    if seed is None:
-        seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "big")
-    return seed
-
-
 def _digest(cfg):
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _echo_header(cfg):
-    return "# config " + json.dumps(cfg, sort_keys=True) + "\n" \
-        + "# digest " + _digest(cfg) + "\n"
+# Each command's subject flag and its options: name -> (built-in default,
+# least value).  A value takes its default's type; least 0 refuses a value
+# that is not positive, None refuses nothing.
+_COMMANDS = {
+    "simulate": ("model", {"n": (2, 0), "horizon": (1.0, 0),
+                           "steps": (256, 0), "reps": (1, 0)}),
+    "density": ("name", {"t": (1.0, None), "s": (0.0, None),
+                         "horizon": (1.0, None),
+                         "method": ("pfaffian", None)}),
+    "verify": ("suite", {"n": (2, 0), "horizon": (1.0, 0),
+                         "reps": (10_000, 2), "samples": (100_000, 2)}),
+}
+
+
+def _configure(args, config):
+    """The effective configuration of args.command: its subject, every
+    option, each checked against its least value once all are resolved, and
+    the seed (flag, config, NONCOLBM_SEED, fresh entropy).  Prints the seed
+    and the configuration's digest."""
+    subject, options = _COMMANDS[args.command]
+    cfg = {"command": args.command, subject: getattr(args, subject)}
+    for key, (default, _) in options.items():
+        cfg[key] = _effective(args, config, key, default, type(default))
+    for key, (_, least) in options.items():
+        val = cfg[key]
+        if least is not None and not (val > 0 and val >= least):
+            raise _UsageError("--%s must be %s, got %r" % (
+                key, "at least %d" % least if least else "positive", val))
+    seed = _effective(args, config, "seed", None, int)
+    if seed is None:
+        seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)
+    if seed is None:
+        seed = int.from_bytes(os.urandom(4), "big")
+    cfg["seed"] = seed
+    print("seed", seed, "digest", _digest(cfg))
+    return cfg
 
 
 def _write_csv(path, header_cfg, columns, data):
     with open(path, "w", newline="\n") as fh:
-        fh.write(_echo_header(header_cfg))
+        fh.write("# config %s\n# digest %s\n" % (
+            json.dumps(header_cfg, sort_keys=True), _digest(header_cfg)))
         fh.write(",".join(columns) + "\n")
         fh.writelines(_csv_lines(data))
 
@@ -128,18 +144,10 @@ def _rep_rows(reps, k, width):
     return data, lead
 
 
-def cmd_simulate(args, config):
-    model = args.model
-    n = _effective(args, config, "n", 2, int)
-    T = _effective(args, config, "horizon", 1.0, float)
-    steps = _effective(args, config, "steps", 256, int)
-    reps = _effective(args, config, "reps", 1, int)
-    _check_sizes({"n": n, "horizon": T, "steps": steps, "reps": reps})
-    seed = _resolve_seed(args, config)
+def cmd_simulate(args, cfg):
+    model, n, T, steps, reps, seed = (cfg[k] for k in (
+        "model", "n", "horizon", "steps", "reps", "seed"))
     out = args.out or f"{model}.csv"
-    cfg = {"command": "simulate", "model": model, "n": n, "horizon": T,
-           "steps": steps, "reps": reps, "seed": seed}
-    print("seed", seed, "digest", _digest(cfg))
 
     if model in ("dyson", "noncolliding"):
         sde_cfg = sde.SDEConfig(n=n, horizon=T, dt=T / steps)
@@ -173,17 +181,9 @@ def cmd_simulate(args, config):
     return 0
 
 
-def cmd_density(args, config):
-    name = args.name
-    n = _effective(args, config, "n", 2, int)
-    t = _effective(args, config, "t", 1.0, float)
-    s = _effective(args, config, "s", 0.0, float)
-    T = _effective(args, config, "horizon", 1.0, float)
-    method = _effective(args, config, "method", "pfaffian", str)
-    seed = _resolve_seed(args, config)
-    cfg = {"command": "density", "name": name, "n": n, "t": t, "s": s,
-           "horizon": T, "method": method, "seed": seed}
-    print("seed", seed, "digest", _digest(cfg))
+def cmd_density(args, cfg):
+    name, t, s, T, method, seed = (cfg[k] for k in (
+        "name", "t", "s", "horizon", "method", "seed"))
 
     def values(x, y):
         if name == "f":
@@ -217,28 +217,9 @@ def cmd_density(args, config):
     return 0
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (bool, np.bool_)):
-        return bool(o)
-    raise TypeError(type(o))
-
-
-def cmd_verify(args, config):
-    suite = args.suite
-    n = _effective(args, config, "n", 2, int)
-    T = _effective(args, config, "horizon", 1.0, float)
-    reps = _effective(args, config, "reps", 10_000, int)
-    samples = _effective(args, config, "samples", 100_000, int)
-    _check_sizes({"n": n, "horizon": T})
-    _check_sizes({"reps": reps, "samples": samples}, least=2)
-    seed = _resolve_seed(args, config)
-    cfg = {"command": "verify", "suite": suite, "n": n, "horizon": T,
-           "reps": reps, "samples": samples, "seed": seed}
-    print("seed", seed, "digest", _digest(cfg))
+def cmd_verify(args, cfg):
+    suite, n, T, reps, samples, seed = (cfg[k] for k in (
+        "suite", "n", "horizon", "reps", "samples", "seed"))
 
     sde_sizes = {"n": n, "horizon": T, "reps": reps}
     suite_fn, sizes = {
@@ -250,8 +231,7 @@ def cmd_verify(args, config):
     report = verify.run_suite_with_retry(suite_fn, seed, **sizes)
     report["schema_version"] = 1
     report["config"] = cfg
-    text = json.dumps(report, indent=2, sort_keys=True,
-                      default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -270,22 +250,24 @@ def build_parser():
                     "and statistical verification suites.")
     p.add_argument("--config", help="flat key=value configuration file")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out")
 
-    ps = sub.add_parser("simulate", help="sample particle or matrix paths")
+    ps = sub.add_parser("simulate", parents=[common],
+                        help="sample particle or matrix paths")
     ps.add_argument("--model", required=True,
                     choices=["dyson", "noncolliding", "gue", "goe", "xit"])
     ps.add_argument("--n", type=int)
     ps.add_argument("--horizon", type=float)
     ps.add_argument("--steps", type=int)
     ps.add_argument("--reps", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--out")
     ps.set_defaults(func=cmd_simulate)
 
-    pd = sub.add_parser("density", help="evaluate a named density")
+    pd = sub.add_parser("density", parents=[common],
+                        help="evaluate a named density")
     pd.add_argument("--name", required=True,
                     choices=["f", "survival", "p", "g", "gue", "goe"])
-    pd.add_argument("--n", type=int)
     pd.add_argument("--t", type=float)
     pd.add_argument("--s", type=float)
     pd.add_argument("--horizon", type=float)
@@ -293,19 +275,16 @@ def build_parser():
                                          "montecarlo"])
     pd.add_argument("--x", help="point(s), e.g. '0,2' or '0,2;0,3'")
     pd.add_argument("--y", help="point(s) for transition densities")
-    pd.add_argument("--seed", type=int)
-    pd.add_argument("--out")
     pd.set_defaults(func=cmd_density)
 
-    pv = sub.add_parser("verify", help="run a statistical suite")
+    pv = sub.add_parser("verify", parents=[common],
+                        help="run a statistical suite")
     pv.add_argument("suite",
                     choices=["hc", "imhof", "marginals", "densities"])
     pv.add_argument("--n", type=int)
     pv.add_argument("--horizon", type=float)
     pv.add_argument("--reps", type=int)
     pv.add_argument("--samples", type=int)
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
     return p
 
@@ -314,7 +293,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        return args.func(args, _configure(args, config))
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -63,8 +63,7 @@ def transition_density(t, x, y):
 
     x is the (strictly ordered) start; y may be a batch (..., N).
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    linalg.check_time(t)
     x = linalg.weyl_vector(x)
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != x.size:
@@ -110,13 +109,6 @@ def _pfaffian(e):
     return linalg._pfaffian_batch(e)
 
 
-def _check_time(t):
-    """Refuse a survival horizon that is negative, infinite or NaN."""
-    if not 0 <= t < math.inf:
-        raise ValueError("time must be nonnegative and finite, got %r"
-                         % (t,))
-
-
 def survival_pfaffian(t, x):
     """No-collision probability via the Pfaffian of the erf-entry matrix.
 
@@ -124,7 +116,7 @@ def survival_pfaffian(t, x):
     batch of start vectors (..., N).  t == 0 returns 1 for strict input.
     """
     xs = np.asarray(x, dtype=float)
-    _check_time(t)
+    linalg.check_time(t, zero_ok=True)
     if xs.shape[-1] == 1 or t == 0:
         out = np.ones(xs.shape[:-1])
         return out if xs.ndim > 1 else float(out)
@@ -152,8 +144,7 @@ def survival_log_gradient(t, x):
     """
     xs = np.asarray(x, dtype=float)
     n = xs.shape[-1]
-    if t <= 0:
-        raise ValueError("time must be positive")
+    linalg.check_time(t)
     if n == 1:
         return np.zeros_like(xs)
     e = _erf_matrix(t, xs)
@@ -246,7 +237,7 @@ def survival_quadrature(t, x, rel_tol=1e-6):
     if n > QUAD_MAX_DIM:
         raise ValueError("quadrature survival limited to N <= %d"
                          % QUAD_MAX_DIM)
-    _check_time(t)
+    linalg.check_time(t, zero_ok=True)
     if n == 1 or t == 0:
         return 1.0
     lo, hi = _chamber_box(t, x)
@@ -286,7 +277,7 @@ def survival_montecarlo(t, x, samples=100_000, steps=200, rng=None):
     """
     x = linalg.weyl_vector(x)
     n = x.size
-    _check_time(t)
+    linalg.check_time(t, zero_ok=True)
     for name, value, least in (("samples", samples, 2), ("steps", steps, 1)):
         if not isinstance(value, numbers.Integral) or value < least:
             raise ValueError("%s must be an integer >= %d, got %r"
@@ -387,6 +378,7 @@ def eigenvalue_density(kind, x, t):
 
     kind is "gue" or "goe"; x may be a batch (..., N) of ordered vectors.
     """
+    linalg.check_time(t)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     c = constants(n)
@@ -404,6 +396,7 @@ def eigenvalue_density(kind, x, t):
 
 def matrix_density(kind, M, t):
     """Matrix-space density of the Gaussian ensembles at variance scale t."""
+    linalg.check_time(t)
     M = np.asarray(M)
     n = M.shape[-1]
     c = constants(n)

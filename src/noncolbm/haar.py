@@ -91,9 +91,22 @@ def convolution_mc(n, T, t, H, samples, rng):
 
 
 def convolution_quadrature(n, T, t, H, rel_tol=1e-6):
-    """Closed-form value of the same convolution density by reducing the
-    symmetric-matrix integral to an ordered-eigenvalue chamber integral."""
+    """Closed-form value of the same convolution density at H = c I, by
+    reducing the symmetric-matrix integral to an ordered-eigenvalue chamber
+    integral.  ValueError for any other H: the reduction puts the orthogonal
+    average of exp(tr(H A) / sigma^2) at the identity, which is exact only
+    when H commutes with every orthogonal matrix."""
     H = linalg.check_hermitian(H)
+    c = H[0, 0].real
+    scale = max(1.0, abs(c))
+    if np.abs(H - c * np.eye(n)).max() > linalg.HERMITIAN_TOL * scale:
+        raise ValueError("convolution_quadrature needs H = c I")
+    return _convolution_chamber(n, T, t, H, rel_tol)
+
+
+def _convolution_chamber(n, T, t, H, rel_tol):
+    """The chamber integral of convolution_quadrature with the orthogonal
+    average taken at the identity, for any Hermitian H."""
     sigma2, alpha = interpolation_scales(T, t)
     c = densities.constants(n)
     tr_h2 = float(np.real(np.einsum("ij,ji->", H, H)))
@@ -127,9 +140,12 @@ def interpolation_identity_check(n, T, t, y, haar_samples, rng):
     hy2 = linalg.vandermonde(y) ** 2
     u = haar_unitary(n, rng, size=haar_samples)
     vals = np.empty(haar_samples)
+    # the chamber integral at h = U* diag(y) U averages exp(tr(h A)/sigma^2)
+    # at O = I only; U O is Haar on U(n) for every orthogonal O, so the Haar
+    # average over U supplies the missing average over O(n)
     for k in range(haar_samples):
         h = np.einsum("ji,j,jk->ik", np.conj(u[k]), y, u[k])
-        vals[k] = convolution_quadrature(n, T, t, h, rel_tol=1e-5)
+        vals[k] = _convolution_chamber(n, T, t, h, rel_tol=1e-5)
     vals *= cu * hy2
     target = float(densities.finite_horizon_density(T, 0, None, t, y))
     return MCEstimate.of(vals), target

@@ -2,6 +2,7 @@
 Pfaffians, Vandermonde products, and the one-dimensional heat kernel."""
 
 import functools
+import math
 
 import numpy as np
 
@@ -47,6 +48,14 @@ def check_skew(A):
     return A
 
 
+def check_time(t, zero_ok=False):
+    """Refuse, with ValueError, a time that is not finite and positive
+    (nonnegative with zero_ok); NaN is refused too."""
+    if not ((0 <= t) if zero_ok else (0 < t)) or not t < math.inf:
+        raise ValueError("time must be %s and finite, got %r"
+                         % ("nonnegative" if zero_ok else "positive", t))
+
+
 @functools.lru_cache(maxsize=32)
 def pair_index(n):
     """Index arrays (i, j) of the pairs i < j of n coordinates in
@@ -69,12 +78,12 @@ def vandermonde(x):
 
 
 def heat_kernel(t, x, y):
-    """Gaussian transition kernel (2*pi*t)^(-1/2) * exp(-(y-x)^2 / (2t)).
+    """Gaussian transition kernel (2*pi*t)^(-1/2) * exp(-(y-x)^2 / (2t)) at
+    one time t.
 
-    Accepts array arguments; broadcasts like numpy.
+    Accepts array x and y; broadcasts like numpy.
     """
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("time must be positive")
+    check_time(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.exp(-((y - x) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from noncolbm import cli, densities
+from noncolbm import cli, densities, verify
 
 
 def run(argv):
@@ -179,6 +179,30 @@ class TestDensity:
                     "--t", t, "--x", "0,1"]) == 2
         assert capsys.readouterr().err.startswith("error: time must be")
 
+    @pytest.mark.parametrize("argv", [
+        ["--name", "goe", "--t", "-1", "--x", "0,1"],
+        ["--name", "gue", "--t", "0", "--x", "0,1"],
+        ["--name", "f", "--t", "nan", "--x", "0,1", "--y", "0,1"],
+    ], ids=["goe-negative", "gue-zero", "f-nan"])
+    def test_time_not_positive_and_finite_exits_two(self, capsys, argv):
+        assert run(["density", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: time must be")
+
+    def test_n_flag_rejected(self, capsys):
+        # the dimension of a density comes from its --x and --y points
+        with pytest.raises(SystemExit):
+            run(["density", "--name", "gue", "--n", "2", "--t", "1",
+                 "--x", "0,1"])
+
+    def test_header_echoes_only_options_density_takes(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["density", "--name", "gue", "--t", "1", "--x", "0,1",
+                    "--seed", "2", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        cfg = json.loads(comments[0][len("# config "):])
+        assert set(cfg) == {"command", "name", "t", "s", "horizon",
+                            "method", "seed"}
+
 
 class TestVerify:
     def test_hc_suite_exit_zero_and_schema(self, tmp_path, capsys):
@@ -211,6 +235,23 @@ class TestVerify:
         # the suites run in one thread; the flag used to be parsed and ignored
         with pytest.raises(SystemExit):
             run(["verify", "hc", "--threads", "4"])
+
+    @pytest.mark.parametrize("suite_fn,sizes", [
+        (verify.hc_suite, {"samples": 2000}),
+        (verify.imhof_suite, {"reps": 200}),
+        (verify.marginals_suite, {"reps": 200}),
+        (verify.densities_suite, {"mc_samples": 2000})],
+        ids=["hc", "imhof", "marginals", "densities"])
+    def test_retried_report_is_plain_json(self, suite_fn, sizes):
+        # the first attempt is marked failed, so the report carries both
+        def first_fails(seed, **kwargs):
+            report = suite_fn(seed=seed, **kwargs)
+            report["passed"] &= seed != 1
+            return report
+
+        report = verify.run_suite_with_retry(first_fails, 1, **sizes)
+        assert report["retried"]
+        json.dumps(report)
 
 
 class TestBadInput:
@@ -267,6 +308,28 @@ class TestConfigPrecedence:
              "--n", "2", "--out", str(out)])
         _, columns, _ = read_csv(out)
         assert columns == ["time", "x1", "x2"]
+
+    def test_density_time_from_config_and_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("t = 2.0\n")
+        rows = {}
+        for flags in ([], ["--t", "0.5"]):
+            assert run(["--config", str(cfgfile), "density", "--name", "f",
+                        "--x", "0,2", "--y", "0,1", *flags]) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            rows[len(flags)] = float(line.split(",")[-1])
+        assert rows[0] == densities.transition_density(2.0, [0, 2], [0, 1])
+        assert rows[2] == densities.transition_density(0.5, [0, 2], [0, 1])
+
+    def test_verify_sizes_from_config_in_report(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("reps = 300\nsamples = 3000\n")
+        out = tmp_path / "r.json"
+        for flags, samples in (([], 3000), (["--samples", "2500"], 2500)):
+            assert run(["--config", str(cfgfile), "verify", "hc", "--seed",
+                        "1", "--out", str(out), *flags]) == 0
+            cfg = json.loads(out.read_text())["config"]
+            assert (cfg["reps"], cfg["samples"]) == (300, samples)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NONCOLBM_SEED", "123")

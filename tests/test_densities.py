@@ -177,6 +177,33 @@ class TestSurvivalDomain:
                     1.0, 0.0, 50)
 
 
+class TestTimeDomain:
+    # every density takes its time through linalg.check_time
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda t: densities.transition_density(t, [0, 1], [0, 1]),
+        lambda t: densities.survival_log_gradient(t, [0, 1]),
+        lambda t: densities.eigenvalue_density("gue", [0, 1], t),
+        lambda t: densities.eigenvalue_density("goe", [0, 1], t),
+        lambda t: densities.matrix_density("gue", np.eye(2), t),
+        lambda t: densities.matrix_density("goe", np.eye(2), t),
+        lambda t: linalg.heat_kernel(t, 0.0, 1.0),
+    ], ids=["transition", "log-gradient", "gue", "goe", "gue-matrix",
+            "goe-matrix", "heat-kernel"])
+    def test_time_not_positive_and_finite_refused(self, evaluate, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate(t)
+
+    @pytest.mark.parametrize("x", [None, [0, 1]], ids=["origin", "x"])
+    def test_infinite_time_refused(self, x):
+        # a time that is not above s is refused by "need t > s" already
+        with pytest.raises(ValueError, match="positive and finite"):
+            densities.h_transform_density(0, x, math.inf, [0, 1])
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            densities.finite_horizon_density(math.inf, 0, x, 1.0, [0, 1])
+
+
 def _reference_montecarlo(t, x, samples, steps, gen):
     """Plain form of survival_montecarlo: full-length (N-1, samples) gap
     arrays and a boolean mask of the live samples; each step draws normals

@@ -128,6 +128,14 @@ class TestConvolution:
             mc = haar.convolution_mc(2, T, t, h, 60_000, substream(70))
             assert abs(mc.mean - quad) <= 3 * max(mc.se, 1e-12)
 
+    @pytest.mark.parametrize("h", [np.diag([-0.5, 0.7]),
+                                   np.array([[0.3, 0.2], [0.2, 0.3]])],
+                             ids=["diagonal", "off-diagonal"])
+    def test_quadrature_refuses_h_not_multiple_of_identity(self, h):
+        # its chamber reduction averages over O(n) at the identity only
+        with pytest.raises(ValueError, match="H = c I"):
+            haar.convolution_quadrature(2, 1.0, 0.5, h)
+
     def test_mode_at_zero(self):
         T, t = 1.0, 0.5
         at0 = haar.convolution_quadrature(2, T, t, np.zeros((2, 2)))
