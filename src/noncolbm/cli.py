@@ -245,7 +245,7 @@ def cmd_verify(args, cfg):
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="noncolbm",
+        prog="noncolbm", allow_abbrev=False,
         description="Noncolliding Brownian motion simulators, densities, "
                     "and statistical verification suites.")
     p.add_argument("--config", help="flat key=value configuration file")
@@ -254,7 +254,7 @@ def build_parser():
     common.add_argument("--seed", type=int)
     common.add_argument("--out")
 
-    ps = sub.add_parser("simulate", parents=[common],
+    ps = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
                         help="sample particle or matrix paths")
     ps.add_argument("--model", required=True,
                     choices=["dyson", "noncolliding", "gue", "goe", "xit"])
@@ -264,7 +264,7 @@ def build_parser():
     ps.add_argument("--reps", type=int)
     ps.set_defaults(func=cmd_simulate)
 
-    pd = sub.add_parser("density", parents=[common],
+    pd = sub.add_parser("density", parents=[common], allow_abbrev=False,
                         help="evaluate a named density")
     pd.add_argument("--name", required=True,
                     choices=["f", "survival", "p", "g", "gue", "goe"])
@@ -277,7 +277,7 @@ def build_parser():
     pd.add_argument("--y", help="point(s) for transition densities")
     pd.set_defaults(func=cmd_density)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                         help="run a statistical suite")
     pv.add_argument("suite",
                     choices=["hc", "imhof", "marginals", "densities"])

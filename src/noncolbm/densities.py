@@ -95,20 +95,6 @@ def _erf_matrix(t, xs):
     return e
 
 
-def _pfaffian(e):
-    """Pfaffian of each matrix of a stack (..., m, m) of even dimension,
-    skew-symmetric by construction, so not checked again."""
-    m = e.shape[-1]
-    # the 2 x 2 and 4 x 4 closed forms are cheaper than the reduction
-    if m == 2:
-        return e[..., 0, 1]
-    if m == 4:
-        return (e[..., 0, 1] * e[..., 2, 3]
-                - e[..., 0, 2] * e[..., 1, 3]
-                + e[..., 0, 3] * e[..., 1, 2])
-    return linalg._pfaffian_batch(e)
-
-
 def survival_pfaffian(t, x):
     """No-collision probability via the Pfaffian of the erf-entry matrix.
 
@@ -117,10 +103,8 @@ def survival_pfaffian(t, x):
     """
     xs = np.asarray(x, dtype=float)
     linalg.check_time(t, zero_ok=True)
-    if xs.shape[-1] == 1 or t == 0:
-        out = np.ones(xs.shape[:-1])
-        return out if xs.ndim > 1 else float(out)
-    pf = _pfaffian(_erf_matrix(t, xs))
+    pf = (np.ones(xs.shape[:-1]) if t == 0
+          else linalg._pfaffian_batch(_erf_matrix(t, xs)))
     return pf if xs.ndim > 1 else float(pf)
 
 
@@ -137,7 +121,7 @@ def survival_log_gradient(t, x):
     and x_j only: d_i A_ij = -G_ij and d_j A_ij = +G_ij with G_ij =
     exp(-u_ij^2) / sqrt(pi t).  d_k ln Pf(A) = dPf(A)[d_k A] / Pf(A) is
     taken by complex step, with the N Pfaffians of A + i h d_k A in one
-    batch.  This differentiates the pivoted reduction itself; the explicit
+    batch.  This differentiates the Pfaffian kernel itself; the explicit
     inverse in 1/2 tr(A^-1 d_k A) loses all accuracy once five or more
     particles cluster within a small fraction of sqrt(t), where A is
     ill-conditioned.
@@ -145,15 +129,13 @@ def survival_log_gradient(t, x):
     xs = np.asarray(x, dtype=float)
     n = xs.shape[-1]
     linalg.check_time(t)
-    if n == 1:
-        return np.zeros_like(xs)
     e = _erf_matrix(t, xs)
     iu, ju, u = _pairs(t, xs)
     g = np.exp(-u * u) / math.sqrt(math.pi * t)
     d = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:])   # d[..., k] = d_k A
     d[..., iu, iu, ju] = d[..., ju, ju, iu] = -g   # d_i A_ij, d_j A_ji
     d[..., ju, iu, ju] = d[..., iu, ju, iu] = g    # d_j A_ij, d_i A_ji
-    pf = _pfaffian(e[..., None, :, :] + 1j * _COMPLEX_STEP * d)
+    pf = linalg._pfaffian_batch(e[..., None, :, :] + 1j * _COMPLEX_STEP * d)
     return pf.imag / (_COMPLEX_STEP * pf.real)
 
 

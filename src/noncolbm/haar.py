@@ -30,9 +30,16 @@ def haar_unitary(n, rng, size=None):
     return q[0] if size is None else q
 
 
+def _check_sigma(sigma):
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite, got %r"
+                         % (sigma,))
+
+
 def hc_monte_carlo(x, y, sigma, samples, rng):
-    """Haar average of exp{-Tr(L_x - U' L_y U)^2 / (2 sigma^2)} with the
-    diagonal matrices L_x, L_y built from strictly ordered x, y."""
+    """Haar average of exp{-Tr(L_x - U' L_y U)^2 / (2 sigma^2)}, sigma > 0,
+    with the diagonal matrices L_x, L_y built from strictly ordered x, y."""
+    _check_sigma(sigma)
     x = linalg.weyl_vector(x)
     y = linalg.weyl_vector(y)
     if x.size != y.size:
@@ -56,6 +63,7 @@ def hc_monte_carlo(x, y, sigma, samples, rng):
 
 def hc_closed_form(x, y, sigma):
     """Determinant form of the same Haar average."""
+    _check_sigma(sigma)
     x = linalg.weyl_vector(x)
     y = linalg.weyl_vector(y)
     if x.size != y.size:

@@ -103,14 +103,9 @@ def ordered_eigensystem(H):
 
 def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric real or complex matrix
-    (n, n), or of each matrix of a stack (..., n, n).
-
-    Skew-symmetric tridiagonalization with partial pivoting (Parlett-Reid,
-    as in Wimmer, ACM TOMS 38, 2012); the Pfaffian is the product of the
-    superdiagonal of the tridiagonal form times the sign of the accumulated
-    permutation.  A stack is reduced in one loop over columns, each matrix
-    pivoting on its own.  Returns a scalar for one matrix (a float for real
-    input), an array of shape A.shape[:-2] for a stack.
+    (n, n), or of each matrix of a stack (..., n, n), checked first and then
+    evaluated by _pfaffian_batch.  Returns a scalar for one matrix (a float
+    for real input), an array of shape A.shape[:-2] for a stack.
     """
     A = check_skew(A)
     if A.shape[-1] % 2 != 0:
@@ -121,8 +116,23 @@ def pfaffian(A):
 
 def _pfaffian_batch(A):
     """Pfaffians of a stack (..., n, n) of skew-symmetric matrices of even
-    n, unchecked: an array of shape A.shape[:-2]."""
+    n, unchecked: a new array of shape A.shape[:-2].
+
+    n = 0, 2, 4: the closed forms 1, a01 and a01 a23 - a02 a13 + a03 a12.
+    Larger n: skew-symmetric elimination with partial pivoting (Parlett-Reid,
+    as in Wimmer, ACM TOMS 38, 2012), one loop over columns for the whole
+    stack, down to the last 4 x 4 block; Pf is the signed product of the
+    pivots times the closed form of that block.
+    """
     n = A.shape[-1]
+    if n == 0:
+        return np.ones(A.shape[:-2], dtype=np.result_type(A.dtype, float))
+    if n == 2:
+        return A[..., 0, 1].copy()
+    if n == 4:
+        return (A[..., 0, 1] * A[..., 2, 3]
+                - A[..., 0, 2] * A[..., 1, 3]
+                + A[..., 0, 3] * A[..., 1, 2])
     batch = int(np.prod(A.shape[:-2]))
     # a copy with the batch axis last: every step below then runs along
     # contiguous rows
@@ -130,7 +140,7 @@ def _pfaffian_batch(A):
         np.result_type(A.dtype, float), order="C")
     rows = np.arange(batch)
     pf = np.ones(batch, dtype=a.dtype)
-    for k in range(0, n - 2, 2):
+    for k in range(0, n - 4, 2):
         # pivot: largest entry in column k below the diagonal; swap it into
         # row and column k + 1 (earlier rows and columns are done with)
         kp = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
@@ -149,6 +159,5 @@ def _pfaffian_batch(A):
         col = a[k + 2:, k + 1]
         a[k + 2:, k + 2:] += tau[:, None] * col[None, :]
         a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
-    if n:
-        pf *= a[n - 2, n - 1]
+    pf *= _pfaffian_batch(np.moveaxis(a[n - 4:, n - 4:], -1, 0))
     return pf.reshape(A.shape[:-2])

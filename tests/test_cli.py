@@ -289,6 +289,26 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: " + argv[-2])
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,prefix,flag", [
+        (["density", "--n", "gue", "--t", "1", "--x", "0,1"],
+         "--n", "--name"),
+        (["simulate", "--model", "xit", "--n", "2", "--steps", "8",
+          "--hor", "2"], "--hor", "--horizon"),
+        (["density", "--name", "survival", "--t", "1", "--x", "0,2",
+          "--se", "3"], "--se", "--seed"),
+    ], ids=["density-n", "simulate-hor", "density-se"])
+    def test_flag_prefix_refused(self, tmp_path, capsys, argv, prefix, flag):
+        # a prefix is not read as the flag it abbreviates; spelled out, the
+        # same call runs
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        argv = [flag if a == prefix else a for a in argv]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path):

@@ -97,6 +97,19 @@ class TestGaussianGroupIntegral:
         with pytest.raises(ValueError):
             haar.hc_monte_carlo([0.0, 1.0], [0.0], 1.0, 10, substream(68))
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("average", [
+        lambda x, y, s: haar.hc_closed_form(x, y, s),
+        lambda x, y, s: haar.hc_monte_carlo(x, y, s, 10, substream(71)),
+    ], ids=["closed_form", "monte_carlo"])
+    def test_rejects_scale_not_positive_and_finite(self, average, sigma):
+        # a negative sigma gave a negative closed-form "average"; sigma = 0
+        # and NaN gave 0 or NaN from the Monte Carlo side
+        for n in (1, 3):
+            x = np.arange(n, dtype=float)
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                average(x, x + 0.5, sigma)
+
 
 class TestConvolution:
     def test_scales(self):

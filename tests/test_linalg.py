@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noncolbm import linalg
+from noncolbm import densities, linalg
 from noncolbm.rng import substream
 
 
@@ -16,11 +16,14 @@ def random_skew_stack(size, n, rng):
 
 
 def pfaffian_reference(a):
-    """One matrix at a time: Parlett-Reid with partial pivoting."""
+    """One matrix at a time: Parlett-Reid with partial pivoting down to the
+    last four rows and columns, then the 4 x 4 expansion of that block."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
+    if n == 2:
+        return a[0, 1]
     pf = 1.0
-    for k in range(0, n - 1, 2):
+    for k in range(0, n - 4, 2):
         kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
         if kp != k + 1:
             a[[k + 1, kp], :] = a[[kp, k + 1], :]
@@ -29,10 +32,33 @@ def pfaffian_reference(a):
         if a[k + 1, k] == 0.0:
             return 0.0
         pf *= a[k, k + 1]
-        if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
-            a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
+        tau = a[k, k + 2:] / a[k, k + 1]
+        a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
+        a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
+    b = a[n - 4:, n - 4:]
+    return pf * (b[0, 1] * b[2, 3] - b[0, 2] * b[1, 3] + b[0, 3] * b[1, 2])
+
+
+def mp_pfaffian(a, mp):
+    """Pfaffian of a skew-symmetric mpmath matrix by Parlett-Reid with
+    partial pivoting, in the working precision of mp."""
+    a = a.copy()
+    n = a.rows
+    pf = mp.mpf(1)
+    for k in range(0, n - 1, 2):
+        kp = max(range(k + 1, n), key=lambda r: abs(a[r, k]))
+        if kp != k + 1:
+            for c in range(n):
+                a[k + 1, c], a[kp, c] = a[kp, c], a[k + 1, c]
+            for r in range(n):
+                a[r, k + 1], a[r, kp] = a[r, kp], a[r, k + 1]
+            pf = -pf
+        piv = a[k, k + 1]
+        pf *= piv
+        for i in range(k + 2, n):
+            for j in range(k + 2, n):
+                a[i, j] += (a[k, i] * a[j, k + 1]
+                            - a[i, k + 1] * a[k, j]) / piv
     return pf
 
 
@@ -191,6 +217,49 @@ class TestPfaffian:
         a = random_skew(3, substream(7))
         with pytest.raises(ValueError):
             linalg.pfaffian(a)
+
+    def test_zero_by_zero_is_one(self):
+        assert linalg.pfaffian(np.zeros((0, 0))) == 1.0
+        np.testing.assert_array_equal(linalg.pfaffian(np.zeros((3, 0, 0))),
+                                      np.ones(3))
+
+    def test_two_by_two_result_is_not_a_view(self):
+        a = random_skew_stack(5, 2, substream(15))
+        kept = a.copy()
+        pf = linalg.pfaffian(a)
+        pf[:] = 7.0
+        np.testing.assert_array_equal(a, kept)
+        one = linalg._pfaffian_batch(a[0])
+        one[...] = 7.0
+        np.testing.assert_array_equal(a, kept)
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_public_pfaffian_is_survival_kernel(self, n):
+        # the checked public entry and the survival probability evaluate the
+        # same bordered erf matrices by the same arithmetic
+        xs = np.sort(substream(16).normal(size=(30, n)) * 1.5, axis=1)
+        e = densities._erf_matrix(0.7, xs)
+        np.testing.assert_array_equal(linalg.pfaffian(e),
+                                      densities.survival_pfaffian(0.7, xs))
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_survival_against_high_precision_pfaffian(self, n):
+        mp = pytest.importorskip("mpmath")
+        x = 3.0 * np.linspace(-1.0, 1.0, n)
+        with mp.workdps(40):
+            m = n + n % 2
+            a = mp.matrix(m, m)
+            for i in range(n):
+                if n % 2:
+                    a[i, n], a[n, i] = 1, -1
+                for j in range(i + 1, n):
+                    v = mp.erf((mp.mpf(x[j]) - mp.mpf(x[i])) / 2)
+                    a[i, j], a[j, i] = v, -v
+            ref = float(mp_pfaffian(a, mp))
+        assert densities.survival_pfaffian(1.0, x) == pytest.approx(
+            ref, rel=1e-10)
 
 
 class TestPfaffianStack:
