@@ -1,5 +1,6 @@
-"""Deterministic linear-algebra kernels: ordered eigenvalues,
-Pfaffians, Vandermonde products, and the one-dimensional heat kernel."""
+"""Deterministic linear-algebra kernels and input checks: Weyl-chamber,
+Hermitian, skew and time checks, the pair order, Vandermonde products, the
+one-dimensional heat kernel, and Pfaffians."""
 
 import functools
 import math
@@ -87,18 +88,6 @@ def heat_kernel(t, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.exp(-((y - x) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-
-
-def ordered_eigenvalues(H):
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    H = check_hermitian(H)
-    return np.linalg.eigvalsh(H)
-
-
-def ordered_eigensystem(H):
-    """Ascending eigenvalues and a unitary of eigenvectors (columns)."""
-    H = check_hermitian(H)
-    return np.linalg.eigh(H)
 
 
 def pfaffian(A):

@@ -80,13 +80,6 @@ def dyson_drift(x):
     return np.einsum("mij->mi", _inverse_differences(np.atleast_2d(x)))
 
 
-def drift_bT(t, x, T):
-    """Drift of the finite-horizon system at time t and state x."""
-    if t >= T:
-        raise ValueError("drift is only defined for t < T")
-    return densities.survival_log_gradient(T - t, linalg.weyl_vector(x))
-
-
 def _phi(y, a, dt):
     """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (m, n)."""
     iu, ju = linalg.pair_index(y.shape[-1])

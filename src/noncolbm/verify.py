@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import erf, kolmogorov
 from scipy.integrate import cumulative_trapezoid
 
 from . import densities, haar, linalg, paths, sde
@@ -14,6 +14,9 @@ from .rng import substream
 
 P_THRESHOLD = 0.01
 _MARGINAL_NODES = 48   # Gauss-Legendre nodes per axis of a marginal's rule
+# (times, scales): densities_suite compares the survival evaluators at each t
+# and x = scale * (0, 1, ..., n - 1), n = 2, 3
+SURVIVAL_GRID = ((0.25, 1.0, 4.0), (0.5, 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,25 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     vs = np.linspace(lo, hi, grid_points)
     cdfs = []
     for i in range(n):
+        # the product of the lower and upper rules on the unit chamber, with
+        # coordinate i at 0; each v maps the lower coordinates by
+        # lo + (v - lo) u, the upper ones by v + (hi - v) w, and coordinate i
+        # to v, and scales the weights by the Jacobian of that map
+        lp, lw = densities.chamber_points(i, 0.0, 1.0, _MARGINAL_NODES)
+        up, uw = densities.chamber_points(n - 1 - i, 0.0, 1.0,
+                                          _MARGINAL_NODES)
+        unit = np.zeros((lw.size, uw.size, n))
+        unit[:, :, :i] = lp[:, None, :]
+        unit[:, :, i + 1:] = up[None, :, :]
+        unit = unit.reshape(-1, n)
+        wts = np.outer(lw, uw).ravel()
+        lower = np.arange(n) < i
         dens = np.empty(grid_points)
         for k, v in enumerate(vs):
-            lp, lw = densities.chamber_points(i, lo, v, _MARGINAL_NODES)
-            up, uw = densities.chamber_points(n - 1 - i, v, hi,
-                                              _MARGINAL_NODES)
-            pts = np.concatenate([
-                np.repeat(lp, up.shape[0], axis=0),
-                np.full((lp.shape[0] * up.shape[0], 1), v),
-                np.tile(up, (lp.shape[0], 1)),
-            ], axis=1)
-            wts = np.repeat(lw, uw.shape[0]) * np.tile(uw, lw.shape[0])
-            dens[k] = float(np.sum(wts * joint(pts)))
+            shift = np.where(lower, lo, v)
+            scale = np.where(lower, v - lo, hi - v)
+            jac = (v - lo) ** i * (hi - v) ** (n - 1 - i)
+            dens[k] = jac * float(np.sum(wts * joint(shift + scale * unit)))
         cdf_vals = cumulative_trapezoid(dens, vs, initial=0.0)
         total = cdf_vals[-1]
         cdf_vals = cdf_vals / total
@@ -104,6 +114,11 @@ def _report(suite, tests, allowed, **fields):
             "allowed_failures": allowed, "passed": n_fail <= allowed}
 
 
+def _ks_entry(name, result):
+    return {"name": name, "statistic": result.statistic,
+            "p_value": result.p_value, "pass": result.p_value > P_THRESHOLD}
+
+
 def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     """Eigenvalue marginals of the finite-horizon matrix process against
     states of the finite-horizon noncolliding SDE, plus the closed-form
@@ -117,25 +132,19 @@ def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
             paths.sample_xit_marginal(n, t, T, reps,
                                       substream(seed, 10_000 + idx)))
         st = res.at_time(t)
-        for i in range(n):
-            r = ks_two_sample(st[:, i], ev[:, i])
-            tests.append({"name": f"t={t:g} coord {i}",
-                          "statistic": r.statistic, "p_value": r.p_value,
-                          "pass": r.p_value > P_THRESHOLD})
-        r = ks_two_sample(st.ravel(), ev.ravel(), n_eff=(reps, reps))
-        tests.append({"name": f"t={t:g} pooled", "statistic": r.statistic,
-                      "p_value": r.p_value,
-                      "pass": r.p_value > P_THRESHOLD})
+        tests += [_ks_entry(f"t={t:g} coord {i}",
+                            ks_two_sample(st[:, i], ev[:, i]))
+                  for i in range(n)]
+        tests.append(_ks_entry(f"t={t:g} pooled", ks_two_sample(
+            st.ravel(), ev.ravel(), n_eff=(reps, reps))))
     # closed-form check at the horizon
     lo, hi = -6.0 * math.sqrt(T), 6.0 * math.sqrt(T)
     cdfs = chamber_marginal_cdfs(
         lambda y: densities.eigenvalue_density("goe", y, T), n, lo, hi)
     st = res.at_time(T)
-    for i in range(n):
-        r = ks_one_sample(st[:, i], cdfs[i])
-        tests.append({"name": f"t=T coord {i} vs closed form",
-                      "statistic": r.statistic, "p_value": r.p_value,
-                      "pass": r.p_value > P_THRESHOLD})
+    tests += [_ks_entry(f"t=T coord {i} vs closed form",
+                        ks_one_sample(st[:, i], cdfs[i]))
+              for i in range(n)]
     return _report("marginals", tests, max(1, len(tests) // 10), n=n,
                    horizon=T, reps=reps, seed=seed,
                    failed_replicates=int(res.failed.sum()))
@@ -210,13 +219,12 @@ def hc_suite(samples=100_000, seed=0):
 def densities_suite(seed=0, mc_samples=100_000):
     """Cross-checks among the survival evaluators and the closed-form
     density identities."""
-    from scipy.special import erf
     tests = []
-    # survival consistency on a 3 x 3 grid for n = 2, 3
+    times, scales = SURVIVAL_GRID
     for n in (2, 3):
         base = np.arange(n, dtype=float)
-        for i, t in enumerate((0.25, 1.0, 4.0)):
-            for j, scale in enumerate((0.5, 1.0, 2.0)):
+        for i, t in enumerate(times):
+            for j, scale in enumerate(scales):
                 x = base * scale
                 pf = densities.survival_pfaffian(t, x)
                 quad = densities.survival_quadrature(t, x)
@@ -230,27 +238,32 @@ def densities_suite(seed=0, mc_samples=100_000):
                               "pfaffian": pf, "quadrature": quad,
                               "mc": mc.mean, "mc_se": mc.se, "pass": ok})
     # n=2 closed form
-    for t, gap in ((0.5, 1.0), (1.0, 2.0)):
+    for t, gap in ((0.25, 0.5), (0.5, 1.0), (1.0, 2.0)):
         target = float(erf(gap / (2.0 * math.sqrt(t))))
         quad = densities.survival_quadrature(t, [0.0, gap], rel_tol=1e-9)
         tests.append({"name": f"survival closed form t={t} gap={gap}",
                       "quadrature": quad, "target": target,
                       "pass": abs(quad - target) <= 1e-6})
-    # pointwise density identities
+    # pointwise density identities: p at t = 0.7 is the GUE density, and g
+    # at its horizon T is the GOE density, at five points per n
     gen = substream(seed, 99)
     for n in (2, 3, 4):
-        y = np.sort(gen.normal(size=n))
-        while np.diff(y).min() < 1e-3:
+        for k in range(5):
             y = np.sort(gen.normal(size=n))
-        t = 0.7
-        p = densities.h_transform_density(0, None, t, y)
-        gue = densities.eigenvalue_density("gue", y, t)
-        g = densities.finite_horizon_density(2.0, 0, None, 2.0, y)
-        goe = densities.eigenvalue_density("goe", y, 2.0)
-        tests.append({"name": f"identities n={n}", "p_vs_gue": abs(p - gue),
-                      "g_vs_goe": abs(g - goe),
-                      "pass": abs(p - gue) <= 1e-10 * max(1.0, abs(gue))
-                      and abs(g - goe) <= 1e-10 * max(1.0, abs(goe))})
+            while np.diff(y).min() < 1e-3:
+                y = np.sort(gen.normal(size=n))
+            pairs = {"p_vs_gue": (
+                densities.h_transform_density(0, None, 0.7, y),
+                densities.eigenvalue_density("gue", y, 0.7))}
+            for T in (1.3, 2.0):
+                pairs[f"g_vs_goe T={T:g}"] = (
+                    densities.finite_horizon_density(T, 0, None, T, y),
+                    densities.eigenvalue_density("goe", y, T))
+            tests.append({
+                "name": f"identities n={n} #{k}",
+                **{key: abs(a - b) for key, (a, b) in pairs.items()},
+                "pass": all(abs(a - b) <= 1e-10 * max(1.0, abs(b))
+                            for a, b in pairs.values())})
     # chamber normalizations
     for n in (2, 3):
         span = 8.0

@@ -217,7 +217,8 @@ class TestVerify:
             assert {"name", "pass"} <= set(t)
 
     @pytest.mark.parametrize("argv", [["hc", "--samples", "2000"],
-                                      ["imhof", "--reps", "200"]])
+                                      ["imhof", "--reps", "200"],
+                                      ["densities", "--samples", "2000"]])
     def test_report_matches_schema(self, tmp_path, capsys, argv):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(resources.files("noncolbm").joinpath(

@@ -62,11 +62,6 @@ def mp_pfaffian(a, mp):
     return pf
 
 
-def random_hermitian(n, rng):
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (b + b.conj().T) / 2
-
-
 class TestVandermonde:
     def test_single_factor(self):
         assert linalg.vandermonde([0, 1]) == 1.0
@@ -136,46 +131,6 @@ class TestHeatKernel:
         ys = np.linspace(-12, 12, 20001)
         mass = np.trapezoid(linalg.heat_kernel(2.0, 0.5, ys), ys)
         assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-class TestOrderedEigenvalues:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            linalg.ordered_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-
-    def test_two_by_two(self):
-        np.testing.assert_allclose(
-            linalg.ordered_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])),
-            [-1, 1], atol=1e-12)
-
-    def test_trace_identity(self):
-        rng = substream(2)
-        h = random_hermitian(4, rng)
-        lam = linalg.ordered_eigenvalues(h)
-        scale = np.linalg.norm(h)
-        assert abs(lam.sum() - np.trace(h).real) <= 1e-9 * 4 * scale
-
-    def test_residuals(self):
-        rng = substream(3)
-        h = random_hermitian(6, rng)
-        lam, vec = linalg.ordered_eigensystem(h)
-        scale = np.linalg.norm(h, 2)
-        for i in range(6):
-            res = np.linalg.norm(h @ vec[:, i] - lam[i] * vec[:, i])
-            assert res <= 1e-9 * scale
-
-    def test_unitary_conjugation_invariance(self):
-        rng = substream(4)
-        h = random_hermitian(5, rng)
-        z = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        q, _ = np.linalg.qr(z)
-        np.testing.assert_allclose(
-            linalg.ordered_eigenvalues(q.conj().T @ h @ q),
-            linalg.ordered_eigenvalues(h), atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.ordered_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPfaffian:
