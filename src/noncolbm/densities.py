@@ -131,11 +131,13 @@ def survival_log_gradient(t, x):
     linalg.check_time(t)
     e = _erf_matrix(t, xs)
     iu, ju, u = _pairs(t, xs)
-    g = np.exp(-u * u) / math.sqrt(math.pi * t)
-    d = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:])   # d[..., k] = d_k A
-    d[..., iu, iu, ju] = d[..., ju, ju, iu] = -g   # d_i A_ij, d_j A_ji
-    d[..., ju, iu, ju] = d[..., iu, ju, iu] = g    # d_j A_ij, d_i A_ji
-    pf = linalg._pfaffian_batch(e[..., None, :, :] + 1j * _COMPLEX_STEP * d)
+    hg = _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t))
+    s = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:], dtype=complex)
+    s.real = e[..., None, :, :]
+    d = s.imag   # a view; d[..., k] = h d_k A has 2(N-1) nonzero entries
+    d[..., iu, iu, ju] = d[..., ju, ju, iu] = -hg   # d_i A_ij, d_j A_ji
+    d[..., ju, iu, ju] = d[..., iu, ju, iu] = hg    # d_j A_ij, d_i A_ji
+    pf = linalg._pfaffian_batch(s)
     return pf.imag / (_COMPLEX_STEP * pf.real)
 
 

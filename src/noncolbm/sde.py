@@ -41,12 +41,19 @@ class SDEConfig:
     start: np.ndarray = None   # None: bootstrap from the origin
 
     def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite, got %r"
+                             % (self.horizon,))
         if self.dt is None:
             self.dt = self.horizon / 1024.0
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite, got %r"
+                             % (self.dt,))
         if self.start is not None:
             self.start = linalg.weyl_vector(self.start)
+            if self.start.size != self.n:
+                raise ValueError("start must have n = %d coordinates, got %d"
+                                 % (self.n, self.start.size))
 
 
 @dataclass
@@ -173,6 +180,7 @@ def implicit_step(a, dt):
 
 
 def _integrate(cfg, t_end, seed, reps, remainder, bootstrap):
+    linalg.check_time(t_end)
     steps = max(1, int(round(t_end / cfg.dt)))
     times = np.linspace(0.0, t_end, steps + 1)
     gen = substream(seed)

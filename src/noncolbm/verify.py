@@ -1,12 +1,12 @@
-"""Kolmogorov-Smirnov machinery, marginal CDFs obtained by quadrature of the
-joint chamber densities, and the named statistical verification suites."""
+"""Kolmogorov-Smirnov machinery, coordinate-marginal CDFs of a joint chamber
+density (Gauss-Legendre marginal densities on a grid, summed by the
+trapezoid rule), and the named statistical verification suites."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, kolmogorov
-from scipy.integrate import cumulative_trapezoid
 
 from . import densities, haar, linalg, paths, sde
 from .densities import MCEstimate
@@ -69,8 +69,14 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     joint must accept a batch (M, n).  The marginal density of coordinate i
     at value v integrates the joint over the lower coordinates ordered below
     v and the upper coordinates ordered above v.  Returns a list of callables
-    (numpy-vectorized via interpolation on a dense grid).
+    (numpy-vectorized via interpolation on a grid of grid_points >= 2
+    values from lo < hi).
     """
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2, got %r"
+                         % (grid_points,))
+    if not lo < hi:
+        raise ValueError("need lo < hi, got lo=%r, hi=%r" % (lo, hi))
     vs = np.linspace(lo, hi, grid_points)
     cdfs = []
     for i in range(n):
@@ -93,11 +99,19 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
             scale = np.where(lower, v - lo, hi - v)
             jac = (v - lo) ** i * (hi - v) ** (n - 1 - i)
             dens[k] = jac * float(np.sum(wts * joint(shift + scale * unit)))
-        cdf_vals = cumulative_trapezoid(dens, vs, initial=0.0)
+        cdf_vals = _cumulative_trapezoid(dens, vs)
         total = cdf_vals[-1]
         cdf_vals = cdf_vals / total
         cdfs.append(_interp_cdf(vs, cdf_vals))
     return cdfs
+
+
+def _cumulative_trapezoid(ys, xs):
+    """Trapezoid-rule integrals of ys from xs[0] to each xs: scipy's
+    cumulative_trapezoid(ys, xs, initial=0), the same expression in the same
+    order."""
+    return np.concatenate([[0.0], np.cumsum(
+        np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)])
 
 
 def _interp_cdf(xs, ys):

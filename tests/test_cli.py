@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,20 @@ class TestVerify:
         report = verify.run_suite_with_retry(first_fails, 1, **sizes)
         assert report["retried"]
         json.dumps(report)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # a fresh interpreter, since scipy.stats in the test modules loads
+    # scipy.integrate into this one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, noncolbm.cli; print('scipy.integrate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
 
 
 class TestBadInput:

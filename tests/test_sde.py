@@ -27,6 +27,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             sde.SDEConfig(n=2, horizon=1.0, dt=-0.1)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("dt", {"horizon": 1.0, "dt": math.nan}),
+        ("dt", {"horizon": 1.0, "dt": math.inf}),
+        ("horizon", {"horizon": math.nan}),
+        ("horizon", {"horizon": 0.0}),
+    ])
+    def test_rejects_non_finite_or_non_positive_sizes(self, field, kwargs):
+        with pytest.raises(ValueError,
+                           match=field + " must be positive and finite"):
+            sde.SDEConfig(n=2, **kwargs)
+
+    @pytest.mark.parametrize("start", [[0.0, 1.0, 2.0], [0.0]])
+    def test_rejects_start_of_wrong_length(self, start):
+        with pytest.raises(ValueError, match="start must have n = 2"):
+            sde.SDEConfig(n=2, horizon=1.0, start=start)
+
+    @pytest.mark.parametrize("simulate", [sde.simulate_dyson,
+                                          sde.simulate_noncolliding])
+    @pytest.mark.parametrize("t_end", [-0.5, 0.0, math.nan])
+    def test_simulate_rejects_bad_t_end(self, simulate, t_end):
+        cfg = sde.SDEConfig(n=2, horizon=1.0)
+        with pytest.raises(ValueError, match="time must be positive"):
+            simulate(cfg, t_end, seed=1)
+
 
 class TestDrift:
     def test_dyson_two_particles(self):

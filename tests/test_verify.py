@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.stats import beta, norm
 
 from noncolbm import densities, verify
@@ -87,6 +88,36 @@ class TestMarginalCDFs:
             np.testing.assert_allclose(
                 cdf(vs), beta.cdf((vs - lo) / (hi - lo), i + 1, n - i),
                 rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("lo, hi, grid_points, match", [
+        (-7.0, 7.0, 1, "grid_points must be at least 2"),
+        (-7.0, 7.0, 0, "grid_points must be at least 2"),
+        (1.0, 1.0, 11, "need lo < hi"),
+        (2.0, -2.0, 11, "need lo < hi"),
+    ])
+    def test_refuses_an_empty_grid(self, lo, hi, grid_points, match):
+        with pytest.raises(ValueError, match=match):
+            verify.chamber_marginal_cdfs(
+                lambda y: densities.eigenvalue_density("goe", y, 1.0),
+                2, lo, hi, grid_points=grid_points)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("grid_points", [5, 15, 801])
+    def test_trapezoid_sum_is_scipys(self, monkeypatch, n, grid_points):
+        # each marginal density the CDFs integrate gives scipy's
+        # cumulative_trapezoid bits
+        calls = []
+        trapezoid = verify._cumulative_trapezoid
+        monkeypatch.setattr(verify, "_cumulative_trapezoid",
+                            lambda ys, xs: calls.append((ys, xs))
+                            or trapezoid(ys, xs))
+        verify.chamber_marginal_cdfs(
+            lambda y: densities.eigenvalue_density("goe", y, 1.0),
+            n, -7.0, 7.0, grid_points=grid_points)
+        assert len(calls) == n
+        for ys, xs in calls:
+            assert trapezoid(ys, xs).tobytes() == cumulative_trapezoid(
+                ys, xs, initial=0.0).tobytes()
 
     def test_goe_marginals_monotone_and_normalized(self):
         cdfs = verify.chamber_marginal_cdfs(
