@@ -45,8 +45,10 @@ class MCEstimate:
                    float(values.std(ddof=1) / math.sqrt(n)), n)
 
 
+@functools.lru_cache(maxsize=32)
 def constants(n):
-    """Normalization constants for the N-particle / N x N densities."""
+    """Normalization constants for the N-particle / N x N densities,
+    computed once per n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     lg1 = sum(gammaln(j) for j in range(1, n + 1))
@@ -80,18 +82,20 @@ def _pairs(t, xs):
 
 
 def _erf_matrix(t, xs):
-    """Antisymmetric matrix erf(u_ij) for a batch xs (..., N).  Odd N is
-    bordered to even dimension with a row/column of the wide-separation entry
-    value 1 (erf at infinity after calibration)."""
+    """Antisymmetric matrix erf(u_ij) for a batch xs (..., N), batch axes
+    last: shape (m, m, ...), m = N + N % 2, the layout of
+    linalg._pfaffian_batch.  Odd N is bordered to even dimension with a
+    row/column of the wide-separation entry value 1 (erf at infinity after
+    calibration)."""
     n = xs.shape[-1]
     iu, ju, u = _pairs(t, xs)
-    v = erf(u)
-    e = np.zeros(xs.shape[:-1] + (n + n % 2,) * 2)
-    e[..., iu, ju] = v
-    e[..., ju, iu] = -v
+    v = np.moveaxis(erf(u), -1, 0)
+    e = np.zeros((n + n % 2,) * 2 + xs.shape[:-1])
+    e[iu, ju] = v
+    e[ju, iu] = -v
     if n % 2 == 1:
-        e[..., :n, n] = 1.0
-        e[..., n, :n] = -1.0
+        e[:n, n] = 1.0
+        e[n, :n] = -1.0
     return e
 
 
@@ -131,12 +135,14 @@ def survival_log_gradient(t, x):
     linalg.check_time(t)
     e = _erf_matrix(t, xs)
     iu, ju, u = _pairs(t, xs)
-    hg = _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t))
-    s = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:], dtype=complex)
-    s.real = e[..., None, :, :]
+    hg = np.moveaxis(
+        _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t)), -1, 0)
+    # the N matrices of a row are the last axis of the batch-last stack
+    s = np.zeros(e.shape + (n,), dtype=complex)
+    s.real = e[..., None]
     d = s.imag   # a view; d[..., k] = h d_k A has 2(N-1) nonzero entries
-    d[..., iu, iu, ju] = d[..., ju, ju, iu] = -hg   # d_i A_ij, d_j A_ji
-    d[..., ju, iu, ju] = d[..., iu, ju, iu] = hg    # d_j A_ij, d_i A_ji
+    d[iu, ju, ..., iu] = d[ju, iu, ..., ju] = -hg   # d_i A_ij, d_j A_ji
+    d[iu, ju, ..., ju] = d[ju, iu, ..., iu] = hg    # d_j A_ij, d_i A_ji
     pf = linalg._pfaffian_batch(s)
     return pf.imag / (_COMPLEX_STEP * pf.real)
 

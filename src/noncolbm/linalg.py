@@ -1,6 +1,10 @@
 """Deterministic linear-algebra kernels and input checks: Weyl-chamber,
 Hermitian, skew and time checks, the pair order, Vandermonde products, the
-one-dimensional heat kernel, and Pfaffians."""
+one-dimensional heat kernel, and Pfaffians.
+
+The public pfaffian takes stacks (..., n, n).  Its kernel _pfaffian_batch
+takes them batch-last, (n, n, ...), and uses its input as work space for
+n >= 6; pfaffian hands it a transposed copy."""
 
 import functools
 import math
@@ -93,42 +97,43 @@ def heat_kernel(t, x, y):
 def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric real or complex matrix
     (n, n), or of each matrix of a stack (..., n, n), checked first and then
-    evaluated by _pfaffian_batch.  Returns a scalar for one matrix (a float
-    for real input), an array of shape A.shape[:-2] for a stack.
+    evaluated by _pfaffian_batch on one copy with the batch axes last (A is
+    left unchanged).  Returns a scalar for one matrix (a float for real
+    input), an array of shape A.shape[:-2] for a stack.
     """
     A = check_skew(A)
     if A.shape[-1] % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
-    pf = _pfaffian_batch(A)
+    pf = _pfaffian_batch(np.moveaxis(A, (-2, -1), (0, 1)).copy())
     return pf.item() if A.ndim == 2 else pf
 
 
-def _pfaffian_batch(A):
-    """Pfaffians of a stack (..., n, n) of skew-symmetric matrices of even
-    n, unchecked: a new array of shape A.shape[:-2].
+def _pfaffian_batch(a):
+    """Pfaffians of a stack (n, n, ...) of skew-symmetric float or complex
+    matrices of even n, batch axes last, unchecked: an array of shape
+    a.shape[2:].  For n >= 6 a is the work space and is overwritten.
 
     n = 0, 2, 4: the closed forms 1, a01 and a01 a23 - a02 a13 + a03 a12.
     Larger n: skew-symmetric elimination with partial pivoting (Parlett-Reid,
-    as in Wimmer, ACM TOMS 38, 2012), one loop over columns for the whole
-    stack, down to the last 4 x 4 block; Pf is the signed product of the
-    pivots times the closed form of that block.
+    as in Wimmer, ACM TOMS 38, 2012), in place, one loop over columns for the
+    whole stack, down to the last 4 x 4 block; Pf is the signed product of
+    the pivots times the closed form of that block.  With the batch axes
+    last every step runs along contiguous rows.
     """
-    n = A.shape[-1]
+    n = a.shape[0]
     if n == 0:
-        return np.ones(A.shape[:-2], dtype=np.result_type(A.dtype, float))
+        return np.ones(a.shape[2:], dtype=np.result_type(a.dtype, float))
+    # a[i, j, ...] is an array even for one matrix, so that its products
+    # go through the array ufuncs, not the scalar ones
     if n == 2:
-        return A[..., 0, 1].copy()
+        return a[0, 1, ...].copy()
     if n == 4:
-        return (A[..., 0, 1] * A[..., 2, 3]
-                - A[..., 0, 2] * A[..., 1, 3]
-                + A[..., 0, 3] * A[..., 1, 2])
-    batch = int(np.prod(A.shape[:-2]))
-    # a copy with the batch axis last: every step below then runs along
-    # contiguous rows
-    a = np.moveaxis(A.reshape((batch, n, n)), 0, -1).astype(
-        np.result_type(A.dtype, float), order="C")
-    rows = np.arange(batch)
-    pf = np.ones(batch, dtype=a.dtype)
+        return (a[0, 1, ...] * a[2, 3, ...] - a[0, 2, ...] * a[1, 3, ...]
+                + a[0, 3, ...] * a[1, 2, ...])
+    shape = a.shape[2:]
+    a = a.reshape((n, n, -1))
+    rows = np.arange(a.shape[-1])
+    pf = np.ones(a.shape[-1], dtype=a.dtype)
     for k in range(0, n - 4, 2):
         # pivot: largest entry in column k below the diagonal; swap it into
         # row and column k + 1 (earlier rows and columns are done with)
@@ -148,5 +153,5 @@ def _pfaffian_batch(A):
         col = a[k + 2:, k + 1]
         a[k + 2:, k + 2:] += tau[:, None] * col[None, :]
         a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
-    pf *= _pfaffian_batch(np.moveaxis(a[n - 4:, n - 4:], -1, 0))
-    return pf.reshape(A.shape[:-2])
+    pf *= _pfaffian_batch(a[n - 4:, n - 4:])
+    return pf.reshape(shape)

@@ -17,6 +17,7 @@ count as well as on the seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ _MAX_HALVINGS = 50
 _TO_BOUNDARY = 0.99   # share of the distance to the chamber wall stepped
 
 
+def _check_count(name, value):
+    """Refuse, with ValueError, a particle or replicate count that is not a
+    positive integer."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError("%s must be a positive integer, got %r"
+                         % (name, value))
+
+
 @dataclass
 class SDEConfig:
     n: int
@@ -41,6 +50,7 @@ class SDEConfig:
     start: np.ndarray = None   # None: bootstrap from the origin
 
     def __post_init__(self):
+        _check_count("n", self.n)
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite, got %r"
                              % (self.horizon,))
@@ -181,6 +191,7 @@ def implicit_step(a, dt):
 
 def _integrate(cfg, t_end, seed, reps, remainder, bootstrap):
     linalg.check_time(t_end)
+    _check_count("reps", reps)
     steps = max(1, int(round(t_end / cfg.dt)))
     times = np.linspace(0.0, t_end, steps + 1)
     gen = substream(seed)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,6 +30,12 @@ class TestConstants:
             c = densities.constants(n)
             assert c.c4 == pytest.approx(
                 2 ** (n / 2) * math.pi ** (n * (n + 1) / 4))
+
+    def test_cached_and_refuses_n_below_one(self):
+        assert densities.constants(4) is densities.constants(4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive integer"):
+                densities.constants(0)
 
 
 class TestTransitionDensity:
@@ -146,17 +153,32 @@ class TestSurvival:
         rng = substream(23)
         for n in range(2, 9):
             xs = np.sort(2.0 * rng.normal(size=(50, n)), axis=-1)
-            e = densities._erf_matrix(0.8, xs)
+            e = np.moveaxis(densities._erf_matrix(0.8, xs), (0, 1), (-2, -1))
             iu, ju, u = densities._pairs(0.8, xs)
             g = np.exp(-u * u) / math.sqrt(math.pi * 0.8)
             d = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:])
             d[..., iu, iu, ju] = d[..., ju, ju, iu] = -g
             d[..., ju, iu, ju] = d[..., iu, ju, iu] = g
-            pf = linalg._pfaffian_batch(
-                e[..., None, :, :] + 1j * densities._COMPLEX_STEP * d)
+            pf = linalg._pfaffian_batch(np.moveaxis(
+                e[..., None, :, :] + 1j * densities._COMPLEX_STEP * d,
+                (-2, -1), (0, 1)))
             np.testing.assert_array_equal(
                 densities.survival_log_gradient(0.8, xs),
                 pf.imag / (densities._COMPLEX_STEP * pf.real))
+
+    def test_log_gradient_peak_memory(self):
+        # the kernel eliminates in the complex-step stack itself: no
+        # transposed copy of it
+        n, rows = 8, 2000
+        xs = np.sort(2.0 * substream(24).normal(size=(rows, n)), axis=-1)
+        densities.survival_log_gradient(0.8, xs[:2])
+        tracemalloc.start()
+        try:
+            densities.survival_log_gradient(0.8, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * n * rows * n * 16
 
 
 class TestSurvivalDomain:

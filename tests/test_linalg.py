@@ -188,6 +188,16 @@ class TestPfaffian:
         one[...] = 7.0
         np.testing.assert_array_equal(a, kept)
 
+    @pytest.mark.parametrize("n", (6, 8, 10))
+    def test_input_unchanged(self, n):
+        # the kernel eliminates in place: the public entry must copy first
+        a = random_skew_stack(5, n, substream(17))
+        kept = a.copy()
+        linalg.pfaffian(a)
+        np.testing.assert_array_equal(a, kept)
+        linalg.pfaffian(a[0])
+        np.testing.assert_array_equal(a, kept)
+
 
 class TestOneKernel:
     @pytest.mark.parametrize("n", range(1, 10))
@@ -195,7 +205,7 @@ class TestOneKernel:
         # the checked public entry and the survival probability evaluate the
         # same bordered erf matrices by the same arithmetic
         xs = np.sort(substream(16).normal(size=(30, n)) * 1.5, axis=1)
-        e = densities._erf_matrix(0.7, xs)
+        e = np.moveaxis(densities._erf_matrix(0.7, xs), (0, 1), (-2, -1))
         np.testing.assert_array_equal(linalg.pfaffian(e),
                                       densities.survival_pfaffian(0.7, xs))
 

@@ -38,6 +38,23 @@ class TestConfig:
                            match=field + " must be positive and finite"):
             sde.SDEConfig(n=2, **kwargs)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, None])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(ValueError,
+                           match=r"n must be a positive integer, got %r"
+                           % (n,)):
+            sde.SDEConfig(n=n, horizon=1.0)
+
+    @pytest.mark.parametrize("simulate", [sde.simulate_dyson,
+                                          sde.simulate_noncolliding])
+    @pytest.mark.parametrize("reps", [0, -2, 2.5])
+    def test_simulate_rejects_bad_reps(self, simulate, reps):
+        cfg = sde.SDEConfig(n=2, horizon=1.0)
+        with pytest.raises(ValueError,
+                           match=r"reps must be a positive integer, got %r"
+                           % (reps,)):
+            simulate(cfg, 0.5, seed=1, reps=reps)
+
     @pytest.mark.parametrize("start", [[0.0, 1.0, 2.0], [0.0]])
     def test_rejects_start_of_wrong_length(self, start):
         with pytest.raises(ValueError, match="start must have n = 2"):
