@@ -206,6 +206,9 @@ def cmd_density(args, cfg):
                 for y in (ys if name in ("f", "p", "g") else [None])]
     except ValueError as exc:
         raise _UsageError(exc) from exc
+    except OverflowError as exc:
+        raise _UsageError("--name %s overflows at this point: %s"
+                          % (name, exc)) from exc
     columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
     columns.append("value")
     if name == "survival" and method == "montecarlo":

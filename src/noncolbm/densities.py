@@ -342,7 +342,9 @@ def finite_horizon_density(T, s, x, t, y):
 
     Start at the origin with (s, x) = (0, None), where it is the GOE density
     times (T/t)^(N(N-1)/4) times survival over T - t.  y may be a batch
-    (..., N).  The survival factors use the fast Pfaffian evaluator.
+    (..., N).  The survival factors use the fast Pfaffian evaluator;
+    ValueError when the survival from x is not positive, as it comes out
+    once clustered particles cancel the Pfaffian's digits.
     """
     if t > T:
         raise ValueError("need t <= T")
@@ -359,6 +361,9 @@ def finite_horizon_density(T, s, x, t, y):
         return val if y.ndim > 1 else float(val)
     x = linalg.weyl_vector(x)
     surv_x = survival_pfaffian(T - s, x)
+    if not surv_x > 0:
+        raise ValueError("survival from x over time %g is %r, not positive"
+                         % (T - s, surv_x))
     val = transition_density(t - s, x, y) * surv_y / surv_x
     return val if y.ndim > 1 else float(val)
 

@@ -62,19 +62,20 @@ def hc_monte_carlo(x, y, sigma, samples, rng):
 
 
 def hc_closed_form(x, y, sigma):
-    """Determinant form of the same Haar average."""
+    """Determinant form of the same Haar average: the Karlin-McGregor
+    transition density at time sigma^2 between x and y, times
+    c1 sigma^(n^2), over the Vandermonde products h(x) h(y)."""
     _check_sigma(sigma)
     x = linalg.weyl_vector(x)
     y = linalg.weyl_vector(y)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
     n = x.size
-    c = densities.constants(n)
-    kernel = linalg.heat_kernel(sigma ** 2, x[:, None], y[None, :])
-    det = np.linalg.det(kernel)
+    # the density is symmetric in its end points; from y to x, its matrix
+    # is [p(x_i, y_j)], x along the rows
+    det = densities.transition_density(sigma ** 2, y, x)
     hx = linalg.vandermonde(x)
     hy = linalg.vandermonde(y)
-    return float(c.c1 * sigma ** (n * n) / (hx * hy) * det)
+    return float(densities.constants(n).c1 * sigma ** (n * n) / (hx * hy)
+                 * det)
 
 
 def interpolation_scales(T, t):

@@ -1,8 +1,7 @@
 """Samplers for scalar Brownian motions and bridges, the Hermitian
-matrix-valued processes built from them, the endpoint-pinned variant, and the
-bridge + endpoint decomposition.  Bridges are sampled by the exact identity
-bridge(t) = W(t) - (t/T)(W(T) - b), so the finite-dimensional laws are exact
-on any grid."""
+matrix-valued processes built from them, and the endpoint-pinned variant.
+Bridges are sampled by the exact identity bridge(t) = W(t) - (t/T)(W(T) - b),
+so the finite-dimensional laws are exact on any grid."""
 
 import math
 from dataclasses import dataclass
@@ -69,29 +68,19 @@ def _brownian_batch(times, m, gen):
     return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
-def _through_horizon(grid):
-    """The grid times, with the horizon appended unless they end there."""
-    t = grid.times
-    return t if abs(t[-1] - grid.horizon) < 1e-14 \
-        else np.append(t, grid.horizon)
-
-
 def _bridge_batch(grid, endpoints, gen):
     """Bridges from 0 to each endpoint, pinned at the grid's horizon T:
     (m, K) values on the grid, by the exact identity bridge(t) = W(t) -
-    (t/T)(W(T) - b).  A grid ending at T ends exactly at the endpoints."""
+    (t/T)(W(T) - b), W drawn on the grid times with T appended unless they
+    end there.  A grid ending at T ends exactly at the endpoints."""
     times, T = grid.times, grid.horizon
-    w = _brownian_batch(_through_horizon(grid), endpoints.size, gen)
+    ends_at_T = abs(times[-1] - T) < 1e-14
+    w = _brownian_batch(times if ends_at_T else np.append(times, T),
+                        endpoints.size, gen)
     vals = w[:, :times.size] - (times / T) * (w[:, -1:] - endpoints[:, None])
-    if w.shape[1] == times.size:
+    if ends_at_T:
         vals[:, -1] = endpoints
     return vals
-
-
-def sample_brownian(grid, rng):
-    """Standard Brownian path from 0 on the grid (independent Gaussian
-    increments): its (K,) values."""
-    return _brownian_batch(grid.times, 1, as_generator(rng))[0]
 
 
 def sample_bridge(grid, endpoint, rng):
@@ -104,23 +93,20 @@ def sample_bridge(grid, endpoint, rng):
 @dataclass
 class XiTDrivers:
     """Scalar drivers of one finite-horizon matrix-process realization:
-    Brownian paths for every i <= j (with their value at the grid's
-    horizon) and bridges pinned to 0 at the horizon for every i < j."""
+    Brownian paths for every i <= j and bridges pinned to 0 at the horizon
+    for every i < j."""
     n: int
     grid: TimeGrid
-    breal: np.ndarray      # (n_pairs_leq, K) Brownian values on grid
-    breal_end: np.ndarray  # (n_pairs_leq,) Brownian values at the horizon
-    bridges: np.ndarray    # (n_pairs_lt, K) bridge values on grid
+    breal: np.ndarray    # (n_pairs_leq, K) Brownian values on grid
+    bridges: np.ndarray  # (n_pairs_lt, K) bridge values on grid
 
 
 def sample_xit_drivers(n, grid, rng):
     """Sample the independent scalar drivers of the finite-horizon process."""
     gen = as_generator(rng)
-    k = grid.times.size
-    # Brownian drivers, extended to the horizon for the decomposition
-    bre = _brownian_batch(_through_horizon(grid), n * (n + 1) // 2, gen)
+    bre = _brownian_batch(grid.times, n * (n + 1) // 2, gen)
     bridges = _bridge_batch(grid, np.zeros(n * (n - 1) // 2), gen)
-    return XiTDrivers(n, grid, bre[:, :k], bre[:, -1], bridges)
+    return XiTDrivers(n, grid, bre, bridges)
 
 
 def xit_from_drivers(drivers):
@@ -167,22 +153,6 @@ def build_pinned_process(n, grid, H, rng):
     bre = _bridge_batch(grid, ends_re, gen)
     bim = _bridge_batch(grid, ends_im, gen)
     return MatrixPath(grid, _hermitian_path(n, bre, bim))
-
-
-def theta_decomposition(drivers):
-    """Split the finite-horizon process into its bridge part (distributed as
-    a complex Hermitian Gaussian ensemble at every fixed time) and the
-    endpoint part (real symmetric), summing exactly to the original path."""
-    n, grid = drivers.n, drivers.grid
-    slope = drivers.breal_end[:, None] * (grid.times / grid.horizon)
-    theta1 = _hermitian_path(n, drivers.breal - slope, drivers.bridges)
-    theta2 = _hermitian_path(n, slope, np.zeros_like(drivers.bridges))
-    return MatrixPath(grid, theta1), MatrixPath(grid, theta2)
-
-
-def eigenvalue_path(mp):
-    """Ascending eigenvalues at every grid time, shape (K, N)."""
-    return np.linalg.eigvalsh(mp.values)
 
 
 # Fast single-time marginal samplers (exact laws, used by the statistical

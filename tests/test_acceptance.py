@@ -89,9 +89,10 @@ class TestCriterion4SurvivalConsistency:
 
 class TestCriterion5DensityIdentities:
     def test_pointwise_identities(self, densities_report):
-        # five points per n = 2, 3, 4; g at the horizons 1.3 and 2.0
-        for t in _named_tests(densities_report, "identities", 15):
-            assert {"g_vs_goe T=1.3", "g_vs_goe T=2"} <= set(t)
+        # five points per n = 2, 3: the origin forms of p and of g at the
+        # horizons 1.3 and 2.0 against their general-start formulas
+        for t in _named_tests(densities_report, "identities", 10):
+            assert {"p_origin", "g_origin T=1.3", "g_origin T=2"} <= set(t)
 
     def test_chamber_normalizations(self, densities_report):
         _named_tests(densities_report, "normalization", 2)

@@ -192,6 +192,18 @@ class TestDensity:
         assert run(["density", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: time must be")
 
+    @pytest.mark.parametrize("argv", [
+        ["--name", "g", "--horizon", "2", "--t", "1.3",
+         "--x", "0,0.0001,0.0002,0.0003", "--y=-1,0,0.5,1"],
+        ["--name", "gue", "--t", "30",
+         "--x", ",".join(str(i) for i in range(28))],
+    ], ids=["g-cancelled-survival", "gue-28-points-overflow"])
+    def test_unrepresentable_value_exits_two(self, capsys, argv):
+        # a survival factor that cancels to 0 and a normalization constant
+        # that overflows are refused, not printed as inf or a traceback
+        assert run(["density", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_n_flag_rejected(self, capsys):
         # the dimension of a density comes from its --x and --y points
         with pytest.raises(SystemExit):

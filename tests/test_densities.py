@@ -440,6 +440,17 @@ class TestFiniteHorizonDensity:
         with pytest.raises(ValueError):
             densities.finite_horizon_density(1.0, 0, None, 1.5, [0.0, 1.0])
 
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_refuses_a_cancelled_survival_factor(self, T):
+        # four particles 1e-4 apart: the survival Pfaffian from x cancels
+        # to 0.0 at T = 2 (the exact value is about 1.4e-23) and to a
+        # negative value at T = 1, which gave inf or a negative density
+        x = [0.0, 1e-4, 2e-4, 3e-4]
+        assert densities.survival_pfaffian(T, x) <= 0.0
+        with pytest.raises(ValueError, match="not positive"):
+            densities.finite_horizon_density(T, 0, x, 0.65 * T,
+                                             [-1.0, 0.0, 0.5, 1.0])
+
 
 class TestEnsembleDensities:
     def test_gue_equals_origin_h_transform(self):

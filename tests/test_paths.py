@@ -70,29 +70,31 @@ class TestTimeGrid:
 
 class TestBrownian:
     def test_starts_at_zero(self):
-        p = paths.sample_brownian(paths.TimeGrid.uniform(1.0, 8),
-                                  substream(1))
+        p = paths._brownian_batch(paths.TimeGrid.uniform(1.0, 8).times, 1,
+                                  substream(1))[0]
         assert p[0] == 0.0
 
     def test_unit_increment_moments(self):
         g = paths.TimeGrid.uniform(1.0, 1)
-        vals = np.array([paths.sample_brownian(g, substream(2, i))[-1]
-                         for i in range(100_000)])
+        vals = np.array([
+            paths._brownian_batch(g.times, 1, substream(2, i))[0, -1]
+            for i in range(100_000)])
         assert abs(vals.mean()) < 0.02
 
     def test_variance_grows_linearly(self):
         g = paths.TimeGrid.uniform(2.0, 16)
         m = 20_000
-        ends = np.array([paths.sample_brownian(g, substream(3, i))[-1]
-                         for i in range(m)])
+        ends = np.array([
+            paths._brownian_batch(g.times, 1, substream(3, i))[0, -1]
+            for i in range(m)])
         var = ends.var()
         se = math.sqrt(2.0) * 2.0 / math.sqrt(m)  # var of var estimator
         assert abs(var - 2.0) <= 3 * se
 
     def test_seed_determinism(self):
         g = paths.TimeGrid.uniform(1.0, 32)
-        a = paths.sample_brownian(g, substream(4))
-        b = paths.sample_brownian(g, substream(4))
+        a = paths._brownian_batch(g.times, 1, substream(4))[0]
+        b = paths._brownian_batch(g.times, 1, substream(4))[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -252,42 +254,18 @@ class TestPinnedProcess:
                                        substream(33))
 
 
-class TestThetaDecomposition:
-    def test_sum_is_exact(self):
-        g = paths.TimeGrid.uniform(1.0, 16)
-        dr = paths.sample_xit_drivers(3, g, substream(34))
-        t1, t2 = paths.theta_decomposition(dr)
-        x = paths.xit_from_drivers(dr)
-        np.testing.assert_allclose(t1.values + t2.values, x.values,
-                                   atol=1e-14)
-
-    def test_component_variances(self):
-        T, t, m = 1.0, 0.4, 15_000
-        g = paths.TimeGrid(np.array([0.0, t]), T)
-        d1 = np.empty(m)
-        d2 = np.empty(m)
-        for i in range(m):
-            dr = paths.sample_xit_drivers(2, g, substream(35, i))
-            t1, t2 = paths.theta_decomposition(dr)
-            d1[i] = t1.values[1, 0, 0].real
-            d2[i] = t2.values[1, 0, 0].real
-        v1, v2 = t * (T - t) / T, t * t / T
-        assert abs(d1.var() - v1) <= 3 * math.sqrt(2) * v1 / math.sqrt(m)
-        assert abs(d2.var() - v2) <= 3 * math.sqrt(2) * v2 / math.sqrt(m)
-
-
 class TestEigenvaluePath:
     def test_zero_path(self):
         g = paths.TimeGrid.uniform(1.0, 4)
         mp = paths.MatrixPath(g, np.zeros((5, 2, 2), dtype=complex))
-        np.testing.assert_array_equal(paths.eigenvalue_path(mp),
+        np.testing.assert_array_equal(np.linalg.eigvalsh(mp.values),
                                       np.zeros((5, 2)))
 
     def test_scalar_path_is_itself(self):
         g = paths.TimeGrid.uniform(1.0, 3)
         vals = np.array([0.1, -0.2, 0.5, 1.0]).reshape(4, 1, 1)
         mp = paths.MatrixPath(g, vals.astype(complex))
-        np.testing.assert_allclose(paths.eigenvalue_path(mp).ravel(),
+        np.testing.assert_allclose(np.linalg.eigvalsh(mp.values).ravel(),
                                    vals.ravel())
 
     def test_conjugation_invariance(self):
@@ -298,8 +276,8 @@ class TestEigenvaluePath:
         u, _ = np.linalg.qr(z)
         conj = paths.MatrixPath(
             g, np.einsum("ij,kjl,lm->kim", u.conj().T, mp.values, u))
-        np.testing.assert_allclose(paths.eigenvalue_path(conj),
-                                   paths.eigenvalue_path(mp), atol=1e-8)
+        np.testing.assert_allclose(np.linalg.eigvalsh(conj.values),
+                                   np.linalg.eigvalsh(mp.values), atol=1e-8)
 
     def test_reproducibility(self):
         g = paths.TimeGrid.uniform(1.0, 16)

@@ -153,6 +153,23 @@ class TestSuites:
                                     dt=1.0 / 512)
         assert report["passed"]
 
+    def test_density_identities_have_power(self, monkeypatch):
+        # each identity compares an origin form (an ensemble density) with a
+        # general-start formula (Karlin-McGregor determinant and survival
+        # Pfaffians): scaling the ensemble densities by 1 + 1e-3 must fail
+        # every one of them
+        def passes(report):
+            return [t["pass"] for t in report["tests"]
+                    if t["name"].startswith("identities")]
+
+        report = verify.densities_suite(seed=1, mc_samples=2000)
+        assert passes(report) and all(passes(report))
+        density = densities.eigenvalue_density
+        monkeypatch.setattr(densities, "eigenvalue_density",
+                            lambda *a: (1.0 + 1e-3) * density(*a))
+        report = verify.densities_suite(seed=1, mc_samples=2000)
+        assert passes(report) and not any(passes(report))
+
     def test_marginals_suite_structure(self):
         report = verify.marginals_suite(n=2, horizon=1.0, reps=2_000,
                                         seed=93, dt=1.0 / 256)
