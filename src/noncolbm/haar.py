@@ -44,8 +44,7 @@ def hc_monte_carlo(x, y, sigma, samples, rng):
     y = linalg.weyl_vector(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    if samples < 2:
-        raise ValueError("need at least 2 samples, got %r" % (samples,))
+    linalg.check_count("samples", samples)
     n = x.size
     gen = as_generator(rng)
     if n == 1:
@@ -93,6 +92,7 @@ def convolution_mc(n, T, t, H, samples, rng):
     convolution density at H: average the Hermitian Gaussian density of
     H - A over symmetric draws A."""
     H = linalg.check_hermitian(H)
+    linalg.check_count("samples", samples)
     sigma2, alpha = interpolation_scales(T, t)
     a = paths.sample_goe(n, 1.0 / alpha, samples, rng)
     return MCEstimate.of(
@@ -144,6 +144,7 @@ def interpolation_identity_check(n, T, t, y, haar_samples, rng):
     diagonal matrix of y by Haar unitaries; its eigenvalue-space counterpart
     is the finite-horizon chamber density at y."""
     y = linalg.weyl_vector(y)
+    linalg.check_count("haar_samples", haar_samples)
     c = densities.constants(n)
     cu = c.c3 / c.c1
     hy2 = linalg.vandermonde(y) ** 2

@@ -1,6 +1,6 @@
 """Deterministic linear-algebra kernels and input checks: Weyl-chamber,
-Hermitian, skew and time checks, the pair order, Vandermonde products, the
-one-dimensional heat kernel, and Pfaffians.
+Hermitian, skew, time and count checks, the pair order, Vandermonde
+products, the one-dimensional heat kernel, and Pfaffians.
 
 The public pfaffian takes stacks (..., n, n).  Its kernel _pfaffian_batch
 takes them batch-last, (n, n, ...), and uses its input as work space for
@@ -8,6 +8,7 @@ n >= 6; pfaffian hands it a transposed copy."""
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -59,6 +60,14 @@ def check_time(t, zero_ok=False):
     if not ((0 <= t) if zero_ok else (0 < t)) or not t < math.inf:
         raise ValueError("time must be %s and finite, got %r"
                          % ("nonnegative" if zero_ok else "positive", t))
+
+
+def check_count(name, value, least=2):
+    """Refuse, with ValueError, a count (Monte Carlo samples, time steps)
+    that is not an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("need at least %d %s (an integer), got %r"
+                         % (least, name, value))
 
 
 @functools.lru_cache(maxsize=32)

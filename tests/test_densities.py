@@ -202,7 +202,7 @@ class TestSurvivalDomain:
     @pytest.mark.parametrize("samples, steps", [(1, 10), (0, 10), (10, 0),
                                                 (2.5, 10), (10, 2.5)])
     def test_montecarlo_sizes_refused(self, samples, steps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least"):
             densities.survival_montecarlo(1.0, [0.0, 1.0], samples=samples,
                                           steps=steps)
 
@@ -301,6 +301,18 @@ class TestMonteCarloStream:
                                             rng=substream(607, len(x)))
         assert est == _reference_montecarlo(t, x, 2000, 200,
                                             substream(607, len(x)))
+
+    @pytest.mark.parametrize("x", [[0.0, 3.0, 6.0], [0.0, 4.0, 8.0, 12.0]],
+                             ids=["n3", "n4"])
+    def test_exponent_floor_changes_no_bit(self, x):
+        # with gaps of 3 or more at dt = 1/200, a b / dt passes 745 on most
+        # steps: unfloored, exp gives a subnormal or 0 there; floored at -40
+        # it gives e^-40 < 2^-54, and 1 - h is 1.0 either way
+        assert 1.0 - np.exp(-40.0) == 1.0
+        est = densities.survival_montecarlo(1.0, x, samples=2000, steps=200,
+                                            rng=substream(612, len(x)))
+        assert est == _reference_montecarlo(1.0, x, 2000, 200,
+                                            substream(612, len(x)))
 
     def test_dead_samples_stay_in_the_mean(self):
         # nearly every sample dies, and every one is kept in the mean

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,11 @@ class TestGaussianGroupIntegral:
             haar.hc_monte_carlo([0.0, 1.0], [0.0, 1.0], 1.0, samples,
                                 substream(70))
 
+    def test_rejects_non_integer_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            haar.hc_monte_carlo([0.0, 1.0], [0.0, 1.0], 1.0, 2.5,
+                                substream(70))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             haar.hc_monte_carlo([0.0, 1.0], [0.0], 1.0, 10, substream(68))
@@ -132,6 +138,21 @@ class TestConvolution:
         mc = haar.convolution_mc(1, T, t, np.array([[h]]), 40_000,
                                  substream(69))
         assert abs(mc.mean - target) <= 3 * mc.se
+
+    @pytest.mark.parametrize("samples", [0, 1, 2.5])
+    @pytest.mark.parametrize("estimate", [
+        lambda k: haar.convolution_mc(2, 1.0, 0.4, np.eye(2), k,
+                                      substream(72)),
+        lambda k: haar.interpolation_identity_check(2, 1.0, 0.5, [-0.5, 0.7],
+                                                    k, substream(73)),
+    ], ids=["convolution_mc", "identity_check"])
+    def test_rejects_bad_sample_counts(self, estimate, samples):
+        # 0 gave a nan mean and se with RuntimeWarnings, 1 a nan se, 2.5 a
+        # numpy TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2 (haar_)?samples"):
+                estimate(samples)
 
     def test_mc_matches_quadrature_scalar_multiple_of_identity(self):
         T, t = 1.0, 0.4
