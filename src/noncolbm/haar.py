@@ -1,6 +1,10 @@
 """Haar-distributed unitary sampling and the two sides of the unitary-group
 Gaussian integral identity, plus the ensemble-convolution density evaluated
-both by Monte Carlo and by chamber quadrature."""
+both by Monte Carlo and by chamber quadrature.
+
+The sampler runs Gram-Schmidt, twice per column, on a stack of complex
+Ginibre matrices held batch-last, (column, row, batch), so that a stack of
+any size costs O(n) numpy calls and no per-matrix LAPACK call."""
 
 import math
 
@@ -14,19 +18,35 @@ _HC_BATCH = 20000   # Haar matrices drawn per block in hc_monte_carlo
 
 
 def haar_unitary(n, rng, size=None):
-    """Haar-random unitary matrices via QR of a complex Ginibre matrix.
+    """Haar-random unitary matrices: Gram-Schmidt on the columns of complex
+    Ginibre matrices.
 
-    Each column of Q is divided by the phase of the corresponding diagonal
-    entry of R; without that correction the law is not Haar.
-    Returns (n, n) for size=None, else (size, n, n).
+    Gram-Schmidt gives the Q of Z = QR whose R has a positive real
+    diagonal: the Q of any QR of Z with each column divided by the phase of
+    R's diagonal entry.  Its law is Haar (Mezzadri 2007); without the phase
+    correction it would not be.  Each column is projected off the earlier
+    ones twice, which keeps the columns orthonormal to rounding (Giraud,
+    Langou & Rozloznik 2005).  The work array is batch-last, (column, row,
+    batch); the stack (size, n, n) returned is a transposed view of it.
+    Returns (n, n) for size=None.  ValueError unless n and size are
+    positive integers.
     """
+    linalg.check_count("n", n, least=1)
+    if size is not None:
+        linalg.check_count("size", size, least=1)
     gen = as_generator(rng)
     m = 1 if size is None else size
-    z = (gen.normal(size=(m, n, n)) + 1j * gen.normal(size=(m, n, n)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.einsum("sii->si", r)
-    q = q * (d / np.abs(d))[:, None, :]
+    # the real, then the imaginary parts of Z[s, row, column], in C order
+    w = np.empty((n, n, m), dtype=complex)
+    w.real = gen.normal(size=(m, n, n)).T
+    w.imag = gen.normal(size=(m, n, n)).T
+    for k in range(n):
+        v, done = w[k], w[:k]
+        for _ in range(2 if k else 0):
+            c = (done.conj() * v).sum(axis=1)
+            v -= (done * c[:, None, :]).sum(axis=0)
+        v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    q = w.T
     return q[0] if size is None else q
 
 
@@ -50,12 +70,17 @@ def hc_monte_carlo(x, y, sigma, samples, rng):
     if n == 1:
         val = math.exp(-((x[0] - y[0]) ** 2) / (2.0 * sigma ** 2))
         return MCEstimate(val, 0.0, samples)
+    # Tr(L_x - U* L_y U)^2 = |x|^2 + |y|^2 - 2 sum_jk y_j |U_jk|^2 x_k; the
+    # matrix |U_jk|^2 is doubly stochastic, so a common shift of x and y
+    # leaves this unchanged, and centring them keeps it from cancelling
+    c = (x.sum() + y.sum()) / (2 * n)
+    x = x - c
+    y = y - c
+    sq = x @ x + y @ y
     vals = np.empty(samples)
     for i in range(0, samples, _HC_BATCH):
         u = haar_unitary(n, gen, size=min(_HC_BATCH, samples - i))
-        a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u)
-        a[:, np.arange(n), np.arange(n)] -= x
-        tr2 = np.real(np.einsum("sij,sji->s", a, a))
+        tr2 = sq - 2.0 * ((u.real ** 2 + u.imag ** 2) @ x) @ y
         vals[i:i + tr2.size] = np.exp(-tr2 / (2.0 * sigma ** 2))
     return MCEstimate.of(vals)
 
@@ -149,13 +174,13 @@ def interpolation_identity_check(n, T, t, y, haar_samples, rng):
     cu = c.c3 / c.c1
     hy2 = linalg.vandermonde(y) ** 2
     u = haar_unitary(n, rng, size=haar_samples)
+    hs = np.conj(u).transpose(0, 2, 1) @ (y[:, None] * u)
     vals = np.empty(haar_samples)
     # the chamber integral at h = U* diag(y) U averages exp(tr(h A)/sigma^2)
     # at O = I only; U O is Haar on U(n) for every orthogonal O, so the Haar
     # average over U supplies the missing average over O(n)
     for k in range(haar_samples):
-        h = np.einsum("ji,j,jk->ik", np.conj(u[k]), y, u[k])
-        vals[k] = _convolution_chamber(n, T, t, h, rel_tol=1e-5)
+        vals[k] = _convolution_chamber(n, T, t, hs[k], rel_tol=1e-5)
     vals *= cu * hy2
     target = float(densities.finite_horizon_density(T, 0, None, t, y))
     return MCEstimate.of(vals), target

@@ -15,6 +15,40 @@ class TestHaarUnitary:
         eye = np.broadcast_to(np.eye(4), prods.shape)
         assert np.abs(prods - eye).max() < 1e-10
 
+    @staticmethod
+    def _qr_reference(n, rng, size):
+        # Mezzadri's (2007) sampler: QR of the same Ginibre draw, each
+        # column of Q divided by the phase of R's diagonal entry
+        z = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
+        q, r = np.linalg.qr(z / math.sqrt(2.0))
+        d = np.einsum("sii->si", r)
+        return q * (d / np.abs(d))[:, None, :]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_phase_corrected_qr(self, n):
+        u = haar.haar_unitary(n, substream(74, n), size=2000)
+        ref = self._qr_reference(n, substream(74, n), 2000)
+        assert u.shape == ref.shape
+        assert np.abs(u - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unitarity_to_rounding(self, n):
+        # twice-projected columns are orthonormal to 7e-16 on these draws;
+        # a single projection pass leaves up to 7e-14
+        u = haar.haar_unitary(n, substream(75, n), size=2000)
+        prods = np.conj(u).transpose(0, 2, 1) @ u
+        assert np.abs(prods - np.eye(n)).max() < 1e-14
+
+    @pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": 2.0},
+                                        {"n": 2, "size": 0},
+                                        {"n": 2, "size": 2.5}],
+                             ids=["n=0", "n=2.0", "size=0", "size=2.5"])
+    def test_rejects_non_positive_integer_sizes(self, kwargs):
+        # n=0 gave a (0, 0) array, size=0 an empty stack, and the floats a
+        # numpy TypeError
+        with pytest.raises(ValueError, match="at least 1 (n|size)"):
+            haar.haar_unitary(rng=substream(76), **kwargs)
+
     def test_single_matrix_shape(self):
         u = haar.haar_unitary(3, substream(61))
         assert u.shape == (3, 3)
@@ -41,6 +75,12 @@ class TestHaarUnitary:
 
 
 class TestGaussianGroupIntegral:
+    @staticmethod
+    def _direct_trace_integrand(u, x, y, s):
+        # exp{-Tr(L_x - U* L_y U)^2 / (2 s^2)} from the matrix itself
+        a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u) - np.diag(x)
+        return np.exp(-np.real(np.einsum("sij,sji->s", a, a)) / (2 * s * s))
+
     def test_closed_form_symmetric_in_arguments(self):
         x, y = [0.0, 1.0], [-0.5, 2.0]
         assert haar.hc_closed_form(x, y, 0.8) == pytest.approx(
@@ -75,18 +115,42 @@ class TestGaussianGroupIntegral:
         rhs = haar.hc_closed_form(x, y, 1.2)
         assert abs(est.mean - rhs) <= 3 * est.se
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("samples", [2, 50, 20_000])
-    def test_mc_se_is_sample_std(self, samples):
+    def test_mc_se_is_sample_std(self, samples, n):
         # up to 20 000 samples are one Haar block, so the values can be
         # recomputed from the same substream
-        x, y, s = np.array([-1.0, 0.0, 1.0]), np.array([-0.8, 0.2, 1.5]), 1.2
+        x, y = {2: ([-1.0, 1.0], [-0.8, 1.5]),
+                3: ([-1.0, 0.0, 1.0], [-0.8, 0.2, 1.5]),
+                4: ([-1.0, -0.2, 0.4, 1.0], [-0.8, 0.2, 0.9, 1.5])}[n]
+        x, y, s = np.array(x), np.array(y), 1.2
         est = haar.hc_monte_carlo(x, y, s, samples, substream(69))
-        u = haar.haar_unitary(3, substream(69), size=samples)
-        a = np.einsum("sji,j,sjk->sik", np.conj(u), y, u) - np.diag(x)
-        vals = np.exp(-np.real(np.einsum("sij,sji->s", a, a)) / (2 * s * s))
+        u = haar.haar_unitary(n, substream(69), size=samples)
+        vals = self._direct_trace_integrand(u, x, y, s)
         assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
         assert est.se == pytest.approx(
             vals.std(ddof=1) / math.sqrt(samples), rel=1e-12)
+
+    def test_mc_invariant_under_common_shift(self):
+        x, y, s = np.array([-1.0, 0.0, 1.0]), np.array([-0.8, 0.2, 1.5]), 1.2
+        est = haar.hc_monte_carlo(x, y, s, 5000, substream(77))
+        moved = haar.hc_monte_carlo(x + 1e3, y + 1e3, s, 5000, substream(77))
+        assert abs(moved.mean - est.mean) <= 1e-12
+        assert abs(moved.se - est.se) <= 1e-12
+
+    def test_mc_blocks_concatenate(self, monkeypatch):
+        # 17 samples in blocks of 7, 7 and 3, drawn one after another from
+        # one generator
+        monkeypatch.setattr(haar, "_HC_BATCH", 7)
+        x, y, s = np.array([-1.0, 0.0, 1.0]), np.array([-0.8, 0.2, 1.5]), 1.2
+        est = haar.hc_monte_carlo(x, y, s, 17, substream(78))
+        gen = substream(78)
+        u = np.concatenate([haar.haar_unitary(3, gen, size=k)
+                            for k in (7, 7, 3)])
+        vals = self._direct_trace_integrand(u, x, y, s)
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        assert est.se == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(17), rel=1e-12)
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_rejects_fewer_than_two_samples(self, samples):
