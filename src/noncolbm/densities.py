@@ -76,20 +76,19 @@ def transition_density(t, x, y):
 def _pairs(t, xs):
     """Index pairs i < j of a batch xs (..., N) and the scaled gaps
     u_ij = (x_j - x_i) / (2 sqrt t) at those pairs, shape (..., N(N-1)/2)."""
-    iu, ju = linalg.pair_index(xs.shape[-1])
-    return iu, ju, (xs[..., ju] - xs[..., iu]) / (2.0 * math.sqrt(t))
+    return (*linalg.pair_index(xs.shape[-1]),
+            linalg.pair_gaps(xs) / (2.0 * math.sqrt(t)))
 
 
-def _erf_matrix(t, xs):
-    """Antisymmetric matrix erf(u_ij) for a batch xs (..., N), batch axes
-    last: shape (m, m, ...), m = N + N % 2, the layout of
-    linalg._pfaffian_batch.  Odd N is bordered to even dimension with a
-    row/column of the wide-separation entry value 1 (erf at infinity after
-    calibration)."""
-    n = xs.shape[-1]
-    iu, ju, u = _pairs(t, xs)
+def _erf_matrix(u, n):
+    """Antisymmetric matrix erf(u_ij) of the scaled gaps u (..., N(N-1)/2)
+    of a batch of N points (see _pairs), batch axes last: shape (m, m, ...),
+    m = N + N % 2, the layout of linalg._pfaffian_batch.  Odd N is bordered
+    to even dimension with a row/column of the wide-separation entry value 1
+    (erf at infinity after calibration)."""
+    iu, ju = linalg.pair_index(n)
     v = np.moveaxis(erf(u), -1, 0)
-    e = np.zeros((n + n % 2,) * 2 + xs.shape[:-1])
+    e = np.zeros((n + n % 2,) * 2 + u.shape[:-1])
     e[iu, ju] = v
     e[ju, iu] = -v
     if n % 2 == 1:
@@ -106,8 +105,8 @@ def survival_pfaffian(t, x):
     """
     xs = np.asarray(x, dtype=float)
     linalg.check_time(t, zero_ok=True)
-    pf = (np.ones(xs.shape[:-1]) if t == 0
-          else linalg._pfaffian_batch(_erf_matrix(t, xs)))
+    pf = (np.ones(xs.shape[:-1]) if t == 0 else linalg._pfaffian_batch(
+        _erf_matrix(_pairs(t, xs)[2], xs.shape[-1])))
     return pf if xs.ndim > 1 else float(pf)
 
 
@@ -132,8 +131,8 @@ def survival_log_gradient(t, x):
     xs = np.asarray(x, dtype=float)
     n = xs.shape[-1]
     linalg.check_time(t)
-    e = _erf_matrix(t, xs)
     iu, ju, u = _pairs(t, xs)
+    e = _erf_matrix(u, n)
     hg = np.moveaxis(
         _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t)), -1, 0)
     # the N matrices of a row are the last axis of the batch-last stack
@@ -155,49 +154,74 @@ def _legendre_rule(n_nodes):
     return u, w
 
 
-def chamber_points(n_dim, lo, hi, n_nodes):
+def chamber_points(n_dim, lo, hi, n_nodes, start=0, stop=None):
     """Tensor-product Gauss-Legendre nodes/weights on the truncated chamber
-    {lo < y_1 < ... < y_n < hi}.  Returns (points (M, n), weights (M,))."""
-    u, w = _legendre_rule(n_nodes)
-    pts = np.empty((n_nodes ** n_dim, n_dim))
-    wts = np.ones(1)
-    upper = np.array([float(hi)])
-    # the k-th axis nests y_{n-k} in (lo, y_{n-k+1}); each of its values
-    # repeats over the n_nodes ** (n - 1 - k) rows of the axes below it
-    for k in range(n_dim):
-        half = 0.5 * (upper - lo)
-        y = lo + half[:, None] * (u[None, :] + 1.0)
-        wts = (wts[:, None] * half[:, None] * w[None, :]).reshape(-1)
-        upper = y.reshape(-1)
-        pts.reshape(upper.size, -1, n_dim)[:, :, n_dim - 1 - k] = \
-            upper[:, None]
-    return pts, wts
+    {lo < y_1 < ... < y_n < hi}: rows [start, stop) of the rule, all of them
+    by default, as (points (M, n), weights (M,)).
+
+    Axis k of the rule nests y_{n-k} in (lo, y_{n-k+1}), and digit k (most
+    significant first) of a row's base-n_nodes index is that axis's node.
+    The rows of the first n - 1 axes are the rule of dimension n - 1, so a
+    range is built from the range of that rule above it, with the same
+    arithmetic as the whole rule: ranges concatenate to it bit for bit.
+    """
+    size = n_nodes ** n_dim
+    stop = size if stop is None else min(stop, size)
+    if not 0 <= start <= stop:
+        raise ValueError("need 0 <= start <= stop, got start=%r, stop=%r"
+                         % (start, stop))
+    return _chamber_rows(n_dim, lo, hi, *_legendre_rule(n_nodes), start,
+                         stop)
 
 
-# chamber_integrate evaluates func on row blocks of at most this many nodes,
-# so its temporaries stay bounded whatever the dimension and node count
-_QUAD_BLOCK = 65_536
+def _chamber_rows(n_dim, lo, hi, u, w, start, stop):
+    """Rows [start, stop) of the chamber rule on the Legendre nodes u and
+    weights w (see chamber_points)."""
+    if n_dim == 0:
+        return np.empty((stop - start, 0)), np.ones(stop - start)
+    n_nodes = u.size
+    p0, p1 = start // n_nodes, -(-stop // n_nodes)
+    outer, outer_wts = _chamber_rows(n_dim - 1, lo, hi, u, w, p0, p1)
+    # the upper end of each row's last axis is y_2 of its outer row
+    upper = outer[:, 0] if n_dim > 1 else np.full(p1 - p0, float(hi))
+    half = 0.5 * (upper - lo)
+    pts = np.empty((p1 - p0, n_nodes, n_dim))
+    pts[:, :, 0] = lo + half[:, None] * (u[None, :] + 1.0)
+    pts[:, :, 1:] = outer[:, None, :]
+    wts = outer_wts[:, None] * half[:, None] * w[None, :]
+    rows = slice(start - p0 * n_nodes, stop - p0 * n_nodes)
+    return pts.reshape(-1, n_dim)[rows], wts.reshape(-1)[rows]
 
 
-def _rule_sum(func, pts, wts):
-    return sum(float(np.sum(wts[i:i + _QUAD_BLOCK]
-                            * func(pts[i:i + _QUAD_BLOCK])))
-               for i in range(0, wts.size, _QUAD_BLOCK))
+# chamber_integrate builds and evaluates its rules in row blocks of at most
+# this many nodes, and verify.chamber_marginal_cdfs hands its joint density
+# blocks of grid values of at most this many rows, so that the nodes and the
+# integrand's temporaries stay bounded whatever the dimension and node count
+QUAD_BLOCK = 6144
+
+
+def _rule_sum(func, n_dim, lo, hi, n_nodes):
+    total = 0.0
+    for i in range(0, n_nodes ** n_dim, QUAD_BLOCK):
+        pts, wts = chamber_points(n_dim, lo, hi, n_nodes, i, i + QUAD_BLOCK)
+        total += float(np.sum(wts * func(pts)))
+    return total
 
 
 def chamber_integrate(func, n_dim, lo, hi, rel_tol=1e-6):
     """Adaptive nested Gauss-Legendre integral of func over the truncated
-    chamber.  func must accept a batch of points (M, n_dim); it is called on
-    row blocks of at most _QUAD_BLOCK nodes, whose sums are added, so that
-    its temporaries stay bounded at every level."""
+    chamber.  func must accept a batch of points (M, n_dim).  Each rule is
+    built and evaluated in row blocks of at most QUAD_BLOCK nodes, whose
+    sums are added, so that neither the nodes nor func's temporaries grow
+    with the rule."""
     if n_dim > QUAD_MAX_DIM:
         raise ValueError("chamber quadrature supported for dimension <= %d"
                          % QUAD_MAX_DIM)
     nodes = _QUAD_START_NODES
-    last = _rule_sum(func, *chamber_points(n_dim, lo, hi, nodes))
+    last = _rule_sum(func, n_dim, lo, hi, nodes)
     while nodes < _QUAD_MAX_NODES:
         nodes = min(_QUAD_MAX_NODES, 2 * nodes)
-        cur = _rule_sum(func, *chamber_points(n_dim, lo, hi, nodes))
+        cur = _rule_sum(func, n_dim, lo, hi, nodes)
         if abs(cur - last) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         last = cur
@@ -344,10 +368,12 @@ def finite_horizon_density(T, s, x, t, y):
     """Transition density of particles conditioned not to collide on (0, T].
 
     Start at the origin with (s, x) = (0, None), where it is the GOE density
-    times (T/t)^(N(N-1)/4) times survival over T - t.  y may be a batch
-    (..., N).  The survival factors use the fast Pfaffian evaluator;
-    ValueError when the survival from x is not positive, as it comes out
-    once clustered particles cancel the Pfaffian's digits.
+    times (T/t)^(N(N-1)/4) times survival over T - t: the pair gaps
+    y_j - y_i are formed once, for the Vandermonde product of the GOE
+    density and, scaled in place, for the erf entries of the survival
+    Pfaffian.  y may be a batch (..., N).  The survival factors use the fast
+    Pfaffian evaluator; ValueError when the survival from x is not positive,
+    as it comes out once clustered particles cancel the Pfaffian's digits.
     """
     if t > T:
         raise ValueError("need t <= T")
@@ -355,13 +381,18 @@ def finite_horizon_density(T, s, x, t, y):
         raise ValueError("need t > s")
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    surv_y = survival_pfaffian(T - t, y)
     if x is None:
         if s != 0:
             raise ValueError("origin start requires s = 0")
-        val = (eigenvalue_density("goe", y, t)
-               * (T / t) ** (n * (n - 1) / 4.0) * surv_y)
+        linalg.check_time(T - t, zero_ok=True)
+        gaps = linalg.pair_gaps(y)
+        val = _ensemble_density("goe", y, t, gaps)
+        val *= (T / t) ** (n * (n - 1) / 4.0)
+        if t < T:
+            gaps /= 2.0 * math.sqrt(T - t)
+            val *= linalg._pfaffian_batch(_erf_matrix(gaps, n))
         return val if y.ndim > 1 else float(val)
+    surv_y = survival_pfaffian(T - t, y)
     x = linalg.weyl_vector(x)
     surv_x = survival_pfaffian(T - s, x)
     if not surv_x > 0:
@@ -371,24 +402,47 @@ def finite_horizon_density(T, s, x, t, y):
     return val if y.ndim > 1 else float(val)
 
 
-def eigenvalue_density(kind, x, t):
-    """Eigenvalue density of the Gaussian ensembles at variance scale t.
+def _ensemble_density(kind, x, t, gaps):
+    """GUE or GOE eigenvalue density at the points x (..., N), given their
+    pair gaps (linalg.pair_gaps): the Gaussian factor, then the constant,
+    then the Vandermonde product h (twice for GUE), applied in place to one
+    new array.  The constants come first, so that N >= 28 raises their
+    OverflowError before h can overflow."""
+    n = x.shape[-1]
+    c = constants(n)
+    kind = kind.lower()
+    if kind == "gue":
+        coef = t ** (-n * n / 2.0) / c.c1
+    elif kind == "goe":
+        coef = t ** (-n * (n + 1) / 4.0) / c.c2
+    else:
+        raise ValueError("kind must be 'gue' or 'goe'")
+    # |x|^2 column by column, left to right: the order of numpy's sum over a
+    # last axis shorter than 8, at a fifth of its cost on rows that short
+    val = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+    for j in range(1, n):
+        val += x[..., j] * x[..., j]
+    val /= -2.0 * t
+    np.exp(val, out=val)
+    val *= coef
+    h = np.prod(gaps, axis=-1)
+    val *= h
+    if kind == "gue":
+        val *= h
+    return val
 
-    kind is "gue" or "goe"; x may be a batch (..., N) of ordered vectors.
+
+def eigenvalue_density(kind, x, t):
+    """Eigenvalue density of the Gaussian ensembles at variance scale t:
+    t^(-N^2/2) / c1 * exp(-|x|^2 / 2t) * h(x)^2 for GUE and t^(-N(N+1)/4)
+    / c2 * exp(-|x|^2 / 2t) * h(x) for GOE, h the Vandermonde product.
+
+    kind is "gue" or "goe"; x may be a batch (..., N) of ordered vectors
+    (an array back) or one vector (a float back).
     """
     linalg.check_time(t)
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    c = constants(n)
-    h = linalg.vandermonde(x)
-    gauss = np.exp(-np.sum(x * x, axis=-1) / (2.0 * t))
-    kind = kind.lower()
-    if kind == "gue":
-        val = t ** (-n * n / 2.0) / c.c1 * gauss * h * h
-    elif kind == "goe":
-        val = t ** (-n * (n + 1) / 4.0) / c.c2 * gauss * h
-    else:
-        raise ValueError("kind must be 'gue' or 'goe'")
+    val = _ensemble_density(kind, x, t, linalg.pair_gaps(x))
     return val if x.ndim > 1 else float(val)
 
 

@@ -1,6 +1,6 @@
 """Deterministic linear-algebra kernels and input checks: Weyl-chamber,
-Hermitian, skew, time and count checks, the pair order, Vandermonde
-products, the one-dimensional heat kernel, and Pfaffians.
+Hermitian, skew, time and count checks, the pair order and pair gaps,
+Vandermonde products, the one-dimensional heat kernel, and Pfaffians.
 
 The public pfaffian takes stacks (..., n, n).  Its kernel _pfaffian_batch
 takes them batch-last, (n, n, ...), and uses its input as work space for
@@ -79,6 +79,13 @@ def pair_index(n):
     return iu, ju
 
 
+def pair_gaps(x):
+    """The gaps x_j - x_i over the pairs i < j of the last axis of an array
+    (..., N), in pair_index order: shape (..., N(N-1)/2)."""
+    iu, ju = pair_index(x.shape[-1])
+    return x[..., ju] - x[..., iu]
+
+
 def vandermonde(x):
     """Product of (x_j - x_i) over all pairs i < j of the last axis: a float
     for one vector, an array of shape x.shape[:-1] for a batch (..., N).
@@ -86,8 +93,7 @@ def vandermonde(x):
     Nonnegative for ordered input; zero when two coordinates coincide.
     """
     x = np.asarray(x, dtype=float)
-    iu, ju = pair_index(x.shape[-1])
-    h = np.prod(x[..., ju] - x[..., iu], axis=-1)
+    h = np.prod(pair_gaps(x), axis=-1)
     return float(h) if x.ndim == 1 else h
 
 

@@ -90,49 +90,26 @@ def sample_bridge(grid, endpoint, rng):
                          as_generator(rng))[0]
 
 
-@dataclass
-class XiTDrivers:
-    """Scalar drivers of one finite-horizon matrix-process realization:
-    Brownian paths for every i <= j and bridges pinned to 0 at the horizon
-    for every i < j."""
-    n: int
-    grid: TimeGrid
-    breal: np.ndarray    # (n_pairs_leq, K) Brownian values on grid
-    bridges: np.ndarray  # (n_pairs_lt, K) bridge values on grid
-
-
-def sample_xit_drivers(n, grid, rng):
-    """Sample the independent scalar drivers of the finite-horizon process."""
-    gen = as_generator(rng)
-    bre = _brownian_batch(grid.times, n * (n + 1) // 2, gen)
-    bridges = _bridge_batch(grid, np.zeros(n * (n - 1) // 2), gen)
-    return XiTDrivers(n, grid, bre, bridges)
-
-
-def xit_from_drivers(drivers):
-    """Assemble the finite-horizon Hermitian process from its drivers."""
-    return MatrixPath(drivers.grid, _hermitian_path(
-        drivers.n, drivers.breal, drivers.bridges))
-
-
 def build_matrix_process(kind, n, grid, rng):
     """Sample one realization of a Hermitian matrix-valued process.
 
     kind: "gue" (Brownian real and imaginary parts), "goe" (real symmetric
     Brownian), or "xit" (Brownian real parts, bridge imaginary parts pinned
-    to 0 at the grid's horizon).
+    to 0 at the grid's horizon).  The real parts are drawn first, then the
+    imaginary ones.
     """
     gen = as_generator(rng)
     kind = kind.lower()
-    times = grid.times
-    if kind == "xit":
-        return xit_from_drivers(sample_xit_drivers(n, grid, gen))
-    if kind not in ("gue", "goe"):
+    if kind not in ("gue", "goe", "xit"):
         raise ValueError("unknown process kind %r" % (kind,))
     n_lt = n * (n - 1) // 2
-    bre = _brownian_batch(times, n * (n + 1) // 2, gen)
-    bim = (_brownian_batch(times, n_lt, gen) if kind == "gue"
-           else np.zeros((n_lt, times.size)))
+    bre = _brownian_batch(grid.times, n * (n + 1) // 2, gen)
+    if kind == "gue":
+        bim = _brownian_batch(grid.times, n_lt, gen)
+    elif kind == "xit":
+        bim = _bridge_batch(grid, np.zeros(n_lt), gen)
+    else:
+        bim = np.zeros((n_lt, grid.times.size))
     return MatrixPath(grid, _hermitian_path(n, bre, bim))
 
 

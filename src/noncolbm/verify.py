@@ -66,11 +66,17 @@ def ks_one_sample(samples, cdf):
 def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     """Coordinate-marginal CDFs of a joint chamber density.
 
-    joint must accept a batch (M, n).  The marginal density of coordinate i
-    at value v integrates the joint over the lower coordinates ordered below
-    v and the upper coordinates ordered above v.  Returns a list of callables
-    (numpy-vectorized via interpolation on a grid of grid_points >= 2
-    values from lo < hi).
+    joint must accept a batch (M, n) and return its M values.  The marginal
+    density of coordinate i at value v integrates the joint over the lower
+    coordinates ordered below v and the upper coordinates ordered above v.
+    Returns a list of callables (numpy-vectorized via interpolation on a
+    grid of grid_points >= 2 values from lo < hi).
+
+    The grid values are taken in blocks: joint is called once per block, on
+    the rule's nodes mapped to each value of the block in turn, at most
+    densities.QUAD_BLOCK rows in all, or one value's rule when that rule is
+    larger.  Each value's density is the row sum of weights times joint
+    values, summed as for a single value.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2, got %r"
@@ -93,12 +99,19 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
         unit = unit.reshape(-1, n)
         wts = np.outer(lw, uw).ravel()
         lower = np.arange(n) < i
-        dens = np.empty(grid_points)
-        for k, v in enumerate(vs):
+        # the Jacobians by scalar powers, which call pow(); an array's ** 2
+        # squares instead, and the two can differ in the last bit
+        dens = np.array([(v - lo) ** i * (hi - v) ** (n - 1 - i)
+                         for v in vs])
+        step = max(1, densities.QUAD_BLOCK // wts.size)
+        for k in range(0, grid_points, step):
+            v = vs[k:k + step, None]
             shift = np.where(lower, lo, v)
             scale = np.where(lower, v - lo, hi - v)
-            jac = (v - lo) ** i * (hi - v) ** (n - 1 - i)
-            dens[k] = jac * float(np.sum(wts * joint(shift + scale * unit)))
+            pts = np.multiply(scale[:, None, :], unit)
+            pts += shift[:, None, :]
+            vals = joint(pts.reshape(-1, n)).reshape(v.size, -1)
+            dens[k:k + step] *= np.sum(wts * vals, axis=1)
         cdf_vals = _cumulative_trapezoid(dens, vs)
         total = cdf_vals[-1]
         cdf_vals = cdf_vals / total

@@ -153,8 +153,8 @@ class TestSurvival:
         rng = substream(23)
         for n in range(2, 9):
             xs = np.sort(2.0 * rng.normal(size=(50, n)), axis=-1)
-            e = np.moveaxis(densities._erf_matrix(0.8, xs), (0, 1), (-2, -1))
             iu, ju, u = densities._pairs(0.8, xs)
+            e = np.moveaxis(densities._erf_matrix(u, n), (0, 1), (-2, -1))
             g = np.exp(-u * u) / math.sqrt(math.pi * 0.8)
             d = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:])
             d[..., iu, iu, ju] = d[..., ju, ju, iu] = -g
@@ -356,6 +356,24 @@ class TestGapFactor:
         assert verify.run_suite_with_retry(attempt, 611)["passed"]
 
 
+def _nested_chamber_rule(n_dim, lo, hi, n_nodes):
+    """The chamber rule built level by level, all nodes of a level at once:
+    axis k nests y_{n-k} in (lo, y_{n-k+1}), and each of its values repeats
+    over the n_nodes ** (n - 1 - k) rows of the axes below it."""
+    u, w = densities._legendre_rule(n_nodes)
+    pts = np.empty((n_nodes ** n_dim, n_dim))
+    wts = np.ones(1)
+    upper = np.array([float(hi)])
+    for k in range(n_dim):
+        half = 0.5 * (upper - lo)
+        y = lo + half[:, None] * (u[None, :] + 1.0)
+        wts = (wts[:, None] * half[:, None] * w[None, :]).reshape(-1)
+        upper = y.reshape(-1)
+        pts.reshape(upper.size, -1, n_dim)[:, :, n_dim - 1 - k] = \
+            upper[:, None]
+    return pts, wts
+
+
 class TestChamberRule:
     def test_cached_rule_gives_identical_points_and_integrals(self):
         def density(y):
@@ -364,10 +382,13 @@ class TestChamberRule:
         densities._legendre_rule.cache_clear()
         pts, wts = densities.chamber_points(3, -4.0, 4.0, 12)
         mass = densities.chamber_integrate(density, 2, -8.0, 8.0)
-        assert densities._legendre_rule.cache_info().hits == 0
+        # blocks of one level after the first read the cached rule
+        first = densities._legendre_rule.cache_info()
         pts2, wts2 = densities.chamber_points(3, -4.0, 4.0, 12)
         mass2 = densities.chamber_integrate(density, 2, -8.0, 8.0)
-        assert densities._legendre_rule.cache_info().hits >= 3
+        second = densities._legendre_rule.cache_info()
+        assert second.misses == first.misses
+        assert second.hits >= first.hits + 3
         np.testing.assert_array_equal(pts2, pts)
         np.testing.assert_array_equal(wts2, wts)
         assert mass2 == mass
@@ -378,6 +399,52 @@ class TestChamberRule:
             u[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+    @pytest.mark.parametrize("n_dim", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 7])
+    def test_row_ranges_concatenate_to_the_rule(self, n_dim, n_nodes):
+        # the whole rule is the one nested construction below, bit for bit,
+        # and so is any set of ranges that covers it
+        pts, wts = densities.chamber_points(n_dim, -1.5, 2.0, n_nodes)
+        ref_pts, ref_wts = _nested_chamber_rule(n_dim, -1.5, 2.0, n_nodes)
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert wts.tobytes() == ref_wts.tobytes()
+        for block in (1, 2, 5, 13, n_nodes ** n_dim + 4):
+            parts = [densities.chamber_points(n_dim, -1.5, 2.0, n_nodes,
+                                              i, i + block)
+                     for i in range(0, wts.size, block)]
+            assert np.concatenate([p for p, _ in parts]).tobytes() \
+                == pts.tobytes()
+            assert np.concatenate([w for _, w in parts]).tobytes() \
+                == wts.tobytes()
+
+    def test_refuses_a_reversed_row_range(self):
+        with pytest.raises(ValueError, match="start <= stop"):
+            densities.chamber_points(2, 0.0, 1.0, 4, 5, 3)
+        with pytest.raises(ValueError, match="start <= stop"):
+            densities.chamber_points(2, 0.0, 1.0, 4, -1)
+
+    def test_level_holds_one_block_of_nodes(self, monkeypatch):
+        # a 3-D level of 96 nodes per axis is 884 736 nodes (28 MB of points
+        # and weights); built and summed block by block, the integral never
+        # holds more than a few blocks' worth, nodes and integrand together
+        monkeypatch.setattr(densities, "_QUAD_START_NODES", 48)
+        monkeypatch.setattr(densities, "_QUAD_MAX_NODES", 96)
+
+        def one(y):
+            return np.ones(len(y))
+
+        densities.chamber_integrate(one, 2, -1.0, 2.0)
+        tracemalloc.start()
+        try:
+            volume = densities.chamber_integrate(one, 3, -1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert volume == pytest.approx(3.0 ** 3 / 6, rel=1e-12)
+        block_bytes = densities.QUAD_BLOCK * (3 + 1) * 8
+        assert peak < 4 * block_bytes
 
 
 class TestHTransformDensity:
@@ -478,6 +545,36 @@ class TestEnsembleDensities:
         for kind in ("gue", "goe"):
             assert densities.eigenvalue_density(kind, [0.4], 1.3) == \
                 pytest.approx(linalg.heat_kernel(1.3, 0.0, 0.4))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_formulas_written_out(self, n):
+        # GUE and GOE densities and the origin form of g (GOE times
+        # (T/t)^(n(n-1)/4) times survival over T - t, also at t = T)
+        # against their formulas term by term, for a batch and one point
+        c = densities.constants(n)
+        ys = np.sort(substream(26, n).normal(size=(40, n)), axis=1)
+        for t in (0.3, 1.7):
+            for y in (ys, ys[0]):
+                h = np.prod([y[..., j] - y[..., i] for i in range(n)
+                             for j in range(i + 1, n)], axis=0)
+                gauss = np.exp(-np.sum(y * y, axis=-1) / (2.0 * t))
+                goe = t ** (-n * (n + 1) / 4.0) / c.c2 * gauss * h
+                want = {"gue": t ** (-n * n / 2.0) / c.c1 * gauss * h * h,
+                        "goe": goe}
+                got = {kind: densities.eigenvalue_density(kind, y, t)
+                       for kind in want}
+                for T in (t, 1.3 * t, 4.0 * t):
+                    want[T] = goe * (T / t) ** (n * (n - 1) / 4.0) \
+                        * densities.survival_pfaffian(T - t, y)
+                    got[T] = densities.finite_horizon_density(T, 0, None,
+                                                              t, y)
+                for key, value in got.items():
+                    if y.ndim == 1:
+                        assert isinstance(value, float)
+                    else:
+                        assert value.shape == (40,)
+                    np.testing.assert_allclose(value, want[key], rtol=1e-14,
+                                               atol=0.0)
 
     def test_goe_normalization(self):
         for n in (2, 3):

@@ -205,7 +205,8 @@ class TestOneKernel:
         # the checked public entry and the survival probability evaluate the
         # same bordered erf matrices by the same arithmetic
         xs = np.sort(substream(16).normal(size=(30, n)) * 1.5, axis=1)
-        e = np.moveaxis(densities._erf_matrix(0.7, xs), (0, 1), (-2, -1))
+        e = np.moveaxis(densities._erf_matrix(densities._pairs(0.7, xs)[2], n),
+                        (0, 1), (-2, -1))
         np.testing.assert_array_equal(linalg.pfaffian(e),
                                       densities.survival_pfaffian(0.7, xs))
 
