@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import densities, paths, sde, verify
+from . import densities, linalg, paths, sde, verify
 from .rng import substream
 
 
@@ -89,8 +89,8 @@ def _digest(cfg):
 
 
 # Each command's subject flag and its options: name -> (built-in default,
-# least value).  A value takes its default's type; least 0 refuses a value
-# that is not positive, None refuses nothing.
+# least value).  A value takes its default's type; a least refuses a value
+# not positive and finite (linalg.check_time) or below it, None nothing.
 _COMMANDS = {
     "simulate": ("model", {"n": (2, 0), "horizon": (1.0, 0),
                            "steps": (256, 0), "reps": (1, 0)}),
@@ -113,9 +113,14 @@ def _configure(args, config):
         cfg[key] = _effective(args, config, key, default, type(default))
     for key, (_, least) in options.items():
         val = cfg[key]
-        if least is not None and not (val > 0 and val >= least):
-            raise _UsageError("--%s must be %s, got %r" % (
-                key, "at least %d" % least if least else "positive", val))
+        try:
+            if least is not None:
+                linalg.check_time(val, name="--" + key)
+        except ValueError as exc:
+            raise _UsageError(exc) from exc
+        if least and val < least:
+            raise _UsageError("--%s must be at least %d, got %r"
+                              % (key, least, val))
     seed = _effective(args, config, "seed", None, int)
     if seed is None:
         seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)

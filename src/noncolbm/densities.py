@@ -48,8 +48,7 @@ class MCEstimate:
 def constants(n):
     """Normalization constants for the N-particle / N x N densities,
     computed once per n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    linalg.check_count("n", n, least=1)
     lg1 = sum(gammaln(j) for j in range(1, n + 1))
     lg2 = sum(gammaln(j / 2.0) for j in range(1, n + 1))
     c1 = (2.0 * math.pi) ** (n / 2.0) * math.exp(lg1)

@@ -50,16 +50,10 @@ def haar_unitary(n, rng, size=None):
     return q[0] if size is None else q
 
 
-def _check_sigma(sigma):
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite, got %r"
-                         % (sigma,))
-
-
 def hc_monte_carlo(x, y, sigma, samples, rng):
     """Haar average of exp{-Tr(L_x - U' L_y U)^2 / (2 sigma^2)}, sigma > 0,
     with the diagonal matrices L_x, L_y built from strictly ordered x, y."""
-    _check_sigma(sigma)
+    linalg.check_time(sigma, name="sigma")
     x = linalg.weyl_vector(x)
     y = linalg.weyl_vector(y)
     if x.size != y.size:
@@ -89,7 +83,7 @@ def hc_closed_form(x, y, sigma):
     """Determinant form of the same Haar average: the Karlin-McGregor
     transition density at time sigma^2 between x and y, times
     c1 sigma^(n^2), over the Vandermonde products h(x) h(y)."""
-    _check_sigma(sigma)
+    linalg.check_time(sigma, name="sigma")
     x = linalg.weyl_vector(x)
     y = linalg.weyl_vector(y)
     n = x.size
@@ -105,6 +99,7 @@ def hc_closed_form(x, y, sigma):
 def interpolation_scales(T, t):
     """Variance scale of the bridge part and inverse scale of the endpoint
     part of the finite-horizon process at time t."""
+    linalg.check_time(T, name="horizon")
     if not 0 < t < T:
         raise ValueError("need 0 < t < T")
     sigma2 = t * (T - t) / T

@@ -54,17 +54,18 @@ def check_skew(A):
     return A
 
 
-def check_time(t, zero_ok=False):
-    """Refuse, with ValueError, a time that is not finite and positive
-    (nonnegative with zero_ok); NaN is refused too."""
+def check_time(t, zero_ok=False, name="time"):
+    """Refuse, with ValueError, a time or scale (labelled name in the
+    message) that is not finite and positive (nonnegative with zero_ok);
+    NaN is refused too."""
     if not ((0 <= t) if zero_ok else (0 < t)) or not t < math.inf:
-        raise ValueError("time must be %s and finite, got %r"
-                         % ("nonnegative" if zero_ok else "positive", t))
+        raise ValueError("%s must be %s and finite, got %r"
+                         % (name, "nonnegative" if zero_ok else "positive", t))
 
 
 def check_count(name, value, least=2):
-    """Refuse, with ValueError, a count (Monte Carlo samples, time steps)
-    that is not an integer >= least."""
+    """Refuse, with ValueError, a count (particles, replicates, Monte Carlo
+    samples, time steps, grid points) that is not an integer >= least."""
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError("need at least %d %s (an integer), got %r"
                          % (least, name, value))

@@ -14,11 +14,12 @@ from .rng import as_generator
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0, with a horizon bound."""
+    """Strictly increasing times from 0 up to a positive, finite horizon."""
     times: np.ndarray
     horizon: float
 
     def __post_init__(self):
+        linalg.check_time(self.horizon, name="horizon")
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
             raise ValueError("grid must be 1-d and start at 0")
@@ -102,6 +103,7 @@ def build_matrix_process(kind, n, grid, rng):
     kind = kind.lower()
     if kind not in ("gue", "goe", "xit"):
         raise ValueError("unknown process kind %r" % (kind,))
+    linalg.check_count("n", n, least=1)
     n_lt = n * (n - 1) // 2
     bre = _brownian_batch(grid.times, n * (n + 1) // 2, gen)
     if kind == "gue":
@@ -140,6 +142,9 @@ def _gaussian_hermitian(n, t, var_im, size, rng):
     entries (a + i b) / sqrt(2), a ~ N(0, t), b ~ N(0, var_im): the diagonal
     first, then (a, b) pair by pair, each over the whole batch.  Real
     symmetric, with no b drawn, when var_im is None."""
+    linalg.check_count("n", n, least=1)
+    linalg.check_time(t)
+    linalg.check_count("size", size, least=1)
     gen = as_generator(rng)
     d = gen.normal(scale=math.sqrt(t), size=(size, n))
     var = [t] if var_im is None else [t, var_im]
@@ -161,6 +166,7 @@ def sample_goe(n, t, size, rng):
 
 def sample_xit_marginal(n, t, T, size, rng):
     """(size, n, n) draws of the finite-horizon process at a fixed time t."""
+    linalg.check_time(T, name="horizon")
     if not 0 < t <= T:
         raise ValueError("need 0 < t <= T")
     return _gaussian_hermitian(n, t, t * (T - t) / T, size, rng)

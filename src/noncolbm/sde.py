@@ -17,7 +17,6 @@ count as well as on the seed.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +33,6 @@ _MAX_HALVINGS = 50
 _TO_BOUNDARY = 0.99   # share of the distance to the chamber wall stepped
 
 
-def _check_count(name, value):
-    """Refuse, with ValueError, a particle or replicate count that is not a
-    positive integer."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError("%s must be a positive integer, got %r"
-                         % (name, value))
-
-
 @dataclass
 class SDEConfig:
     n: int
@@ -50,15 +41,11 @@ class SDEConfig:
     start: np.ndarray = None   # None: bootstrap from the origin
 
     def __post_init__(self):
-        _check_count("n", self.n)
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite, got %r"
-                             % (self.horizon,))
+        linalg.check_count("n", self.n, least=1)
+        linalg.check_time(self.horizon, name="horizon")
         if self.dt is None:
             self.dt = self.horizon / 1024.0
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite, got %r"
-                             % (self.dt,))
+        linalg.check_time(self.dt, name="dt")
         if self.start is not None:
             self.start = linalg.weyl_vector(self.start)
             if self.start.size != self.n:
@@ -191,7 +178,7 @@ def implicit_step(a, dt):
 
 def _integrate(cfg, t_end, seed, reps, remainder, bootstrap):
     linalg.check_time(t_end)
-    _check_count("reps", reps)
+    linalg.check_count("reps", reps, least=1)
     steps = max(1, int(round(t_end / cfg.dt)))
     times = np.linspace(0.0, t_end, steps + 1)
     gen = substream(seed)

@@ -2,6 +2,8 @@
 density (Gauss-Legendre marginal densities on a grid, summed by the
 trapezoid rule), and the named statistical verification suites."""
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,48 +76,56 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
 
     The grid values are taken in blocks: joint is called once per block, on
     the rule's nodes mapped to each value of the block in turn, at most
-    densities.QUAD_BLOCK rows in all, or one value's rule when that rule is
-    larger.  Each value's density is the row sum of weights times joint
-    values, summed as for a single value.
+    densities.QUAD_BLOCK rows in all.  A rule larger than that is built and
+    evaluated for one value at a time in blocks of at most QUAD_BLOCK rows.
+    Each value's density is the row sum of weights times joint values over
+    its whole rule, summed as for a single value.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2, got %r"
-                         % (grid_points,))
+    linalg.check_count("grid_points", grid_points)
     if not lo < hi:
         raise ValueError("need lo < hi, got lo=%r, hi=%r" % (lo, hi))
     vs = np.linspace(lo, hi, grid_points)
+    block = densities.QUAD_BLOCK
     cdfs = []
     for i in range(n):
         # the product of the lower and upper rules on the unit chamber, with
         # coordinate i at 0; each v maps the lower coordinates by
         # lo + (v - lo) u, the upper ones by v + (hi - v) w, and coordinate i
-        # to v, and scales the weights by the Jacobian of that map
-        lp, lw = densities.chamber_points(i, 0.0, 1.0, _MARGINAL_NODES)
-        up, uw = densities.chamber_points(n - 1 - i, 0.0, 1.0,
-                                          _MARGINAL_NODES)
-        unit = np.zeros((lw.size, uw.size, n))
-        unit[:, :, :i] = lp[:, None, :]
-        unit[:, :, i + 1:] = up[None, :, :]
-        unit = unit.reshape(-1, n)
-        wts = np.outer(lw, uw).ravel()
+        # to v, and scales the weights by the Jacobian of that map.  Row
+        # a * nu + b pairs lower row a with upper row b, and a block of rows
+        # is la whole upper rules or a range of lu rows of one
+        nl, nu = _MARGINAL_NODES ** i, _MARGINAL_NODES ** (n - 1 - i)
+        la, lu = (max(1, block // nu), nu) if nu <= block else (1, block)
         lower = np.arange(n) < i
         # the Jacobians by scalar powers, which call pow(); an array's ** 2
         # squares instead, and the two can differ in the last bit
         dens = np.array([(v - lo) ** i * (hi - v) ** (n - 1 - i)
                          for v in vs])
-        step = max(1, densities.QUAD_BLOCK // wts.size)
+        step = max(1, block // (nl * nu))
         for k in range(0, grid_points, step):
             v = vs[k:k + step, None]
             shift = np.where(lower, lo, v)
             scale = np.where(lower, v - lo, hi - v)
-            pts = np.multiply(scale[:, None, :], unit)
-            pts += shift[:, None, :]
-            vals = joint(pts.reshape(-1, n)).reshape(v.size, -1)
-            dens[k:k + step] *= np.sum(wts * vals, axis=1)
-        cdf_vals = _cumulative_trapezoid(dens, vs)
-        total = cdf_vals[-1]
-        cdf_vals = cdf_vals / total
-        cdfs.append(_interp_cdf(vs, cdf_vals))
+            terms = np.empty((v.size, nl * nu))
+            for a, b in itertools.product(range(0, nl, la), range(0, nu, lu)):
+                if k == 0 or nl * nu > block:   # built once if it fits
+                    lp, lw = densities.chamber_points(
+                        i, 0.0, 1.0, _MARGINAL_NODES, a, a + la)
+                    up, uw = densities.chamber_points(
+                        n - 1 - i, 0.0, 1.0, _MARGINAL_NODES, b, b + lu)
+                    unit = np.zeros((lw.size, uw.size, n))
+                    unit[:, :, :i] = lp[:, None, :]
+                    unit[:, :, i + 1:] = up[None, :, :]
+                    wts = np.outer(lw, uw).ravel()
+                pts = np.multiply(scale[:, None, :], unit.reshape(-1, n))
+                pts += shift[:, None, :]
+                r = a * nu + b
+                terms[:, r:r + wts.size] = wts * joint(
+                    pts.reshape(-1, n)).reshape(v.size, -1)
+            dens[k:k + step] *= np.sum(terms, axis=1)
+        cdf = _cumulative_trapezoid(dens, vs)
+        cdfs.append(functools.partial(np.interp, xp=vs, fp=cdf / cdf[-1],
+                                      left=0.0, right=1.0))
     return cdfs
 
 
@@ -125,12 +135,6 @@ def _cumulative_trapezoid(ys, xs):
     order."""
     return np.concatenate([[0.0], np.cumsum(
         np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)])
-
-
-def _interp_cdf(xs, ys):
-    def cdf(v):
-        return np.interp(v, xs, ys, left=0.0, right=1.0)
-    return cdf
 
 
 def _report(suite, tests, allowed, **fields):
@@ -150,6 +154,7 @@ def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     """Eigenvalue marginals of the finite-horizon matrix process against
     states of the finite-horizon noncolliding SDE, plus the closed-form
     ensemble density at the horizon."""
+    linalg.check_count("reps", reps)
     T = horizon
     cfg = sde.SDEConfig(n=n, horizon=T, dt=dt)
     res = sde.simulate_noncolliding(cfg, T, seed=seed, reps=reps)
@@ -181,6 +186,7 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     """Reweighting identity between the finite-horizon law and the
     stationary-drift law: the Radon-Nikodym weight is a constant over the
     pairwise-difference product at the horizon."""
+    linalg.check_count("reps", reps)
     T = horizon
     c = densities.constants(n)
     const = c.c1 * T ** (n * (n - 1) / 4.0) / c.c2

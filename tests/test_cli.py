@@ -108,7 +108,8 @@ class TestSimulate:
     @pytest.mark.parametrize("model,flag,value", [
         ("dyson", "--steps", "0"), ("gue", "--steps", "-1"),
         ("xit", "--horizon", "0"), ("noncolliding", "--horizon", "-1"),
-        ("goe", "--reps", "0"), ("dyson", "--n", "0"), ("xit", "--n", "-2")])
+        ("goe", "--reps", "0"), ("dyson", "--n", "0"), ("xit", "--n", "-2"),
+        ("gue", "--horizon", "inf"), ("noncolliding", "--horizon", "inf")])
     def test_bad_size_refused(self, tmp_path, capsys, model, flag, value):
         out = tmp_path / "o.csv"
         assert run(["simulate", "--model", model, flag, value, "--seed", "1",
@@ -311,6 +312,7 @@ class TestBadInput:
         ["marginals", "--reps", "0"], ["marginals", "--reps", "1"],
         ["marginals", "--reps", "50", "--n", "0"],
         ["marginals", "--reps", "50", "--horizon", "0"],
+        ["marginals", "--reps", "50", "--horizon", "inf"],
         ["imhof", "--reps", "50", "--horizon", "-1"],
         ["hc", "--samples", "1"], ["densities", "--samples", "0"]],
         ids=lambda argv: "-".join(argv[:1] + argv[-2:]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from noncolbm import densities, linalg, verify
+from noncolbm import densities, linalg, paths, verify
 from noncolbm.rng import substream
 
 
@@ -34,8 +34,11 @@ class TestConstants:
     def test_cached_and_refuses_n_below_one(self):
         assert densities.constants(4) is densities.constants(4)
         for _ in range(2):
-            with pytest.raises(ValueError, match="positive integer"):
+            with pytest.raises(ValueError, match=r"need at least 1 n "
+                               r"\(an integer\), got 0"):
                 densities.constants(0)
+        with pytest.raises(ValueError, match=r"\(an integer\), got 2\.5"):
+            densities.constants(2.5)
 
 
 class TestTransitionDensity:
@@ -218,7 +221,8 @@ class TestSurvivalDomain:
 
 
 class TestTimeDomain:
-    # every density takes its time through linalg.check_time
+    # every density and fixed-time sampler takes its time through
+    # linalg.check_time
     @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf],
                              ids=["negative", "zero", "nan", "inf"])
     @pytest.mark.parametrize("evaluate", [
@@ -229,8 +233,10 @@ class TestTimeDomain:
         lambda t: densities.matrix_density("gue", np.eye(2), t),
         lambda t: densities.matrix_density("goe", np.eye(2), t),
         lambda t: linalg.heat_kernel(t, 0.0, 1.0),
+        lambda t: paths.sample_gue(2, t, 3, substream(5)),
+        lambda t: paths.sample_goe(2, t, 3, substream(5)),
     ], ids=["transition", "log-gradient", "gue", "goe", "gue-matrix",
-            "goe-matrix", "heat-kernel"])
+            "goe-matrix", "heat-kernel", "gue-sampler", "goe-sampler"])
     def test_time_not_positive_and_finite_refused(self, evaluate, t):
         with pytest.raises(ValueError, match="positive and finite"):
             evaluate(t)

@@ -191,6 +191,10 @@ class TestConvolution:
         for t in (0.0, 2.0, 3.0):
             with pytest.raises(ValueError):
                 haar.interpolation_scales(2.0, t)
+        # an infinite horizon gave a NaN bridge variance
+        with pytest.raises(ValueError, match="horizon must be positive and "
+                           "finite, got inf"):
+            haar.interpolation_scales(math.inf, 0.5)
 
     def test_n1_exact_heat_kernel(self):
         # sum of the bridge and endpoint variances is t, so the scalar

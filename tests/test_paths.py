@@ -67,6 +67,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             paths.TimeGrid(np.array([0.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+    def test_rejects_horizon_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and "
+                           "finite, got %r" % (horizon,)):
+            paths.TimeGrid(np.array([0.0]), horizon)
+
 
 class TestBrownian:
     def test_starts_at_zero(self):
@@ -156,8 +162,23 @@ class TestMatrixProcesses:
                                        paths.TimeGrid.uniform(1.0, 2),
                                        substream(13))
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_invalid_size(self, n):
+        with pytest.raises(ValueError,
+                           match=r"need at least 1 n \(an integer\), got %r"
+                           % (n,)):
+            paths.build_matrix_process("gue", n,
+                                       paths.TimeGrid.uniform(1.0, 2),
+                                       substream(13))
+
 
 class TestMarginalSamplers:
+    def test_xit_rejects_infinite_horizon(self):
+        # the bridge variance t (T - t) / T was NaN at T = inf
+        with pytest.raises(ValueError, match="horizon must be positive and "
+                           "finite, got inf"):
+            paths.sample_xit_marginal(2, 0.5, math.inf, 3, substream(63))
+
     # same draws in the same order, same arithmetic: equal, not just close
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_match_pair_loop_references(self, n):

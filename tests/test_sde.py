@@ -41,7 +41,7 @@ class TestConfig:
     @pytest.mark.parametrize("n", [0, -1, 2.5, None])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError,
-                           match=r"n must be a positive integer, got %r"
+                           match=r"need at least 1 n \(an integer\), got %r"
                            % (n,)):
             sde.SDEConfig(n=n, horizon=1.0)
 
@@ -51,8 +51,8 @@ class TestConfig:
     def test_simulate_rejects_bad_reps(self, simulate, reps):
         cfg = sde.SDEConfig(n=2, horizon=1.0)
         with pytest.raises(ValueError,
-                           match=r"reps must be a positive integer, got %r"
-                           % (reps,)):
+                           match=r"need at least 1 reps \(an integer\), "
+                           r"got %r" % (reps,)):
             simulate(cfg, 0.5, seed=1, reps=reps)
 
     @pytest.mark.parametrize("start", [[0.0, 1.0, 2.0], [0.0]])

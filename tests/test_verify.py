@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,8 +91,10 @@ class TestMarginalCDFs:
                 rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("lo, hi, grid_points, match", [
-        (-7.0, 7.0, 1, "grid_points must be at least 2"),
-        (-7.0, 7.0, 0, "grid_points must be at least 2"),
+        *(pytest.param(-7.0, 7.0, g, r"need at least 2 grid_points \(an "
+                       r"integer\), got %r" % (g,),
+                       id="-7.0-7.0-%r-at least 2" % (g,))
+          for g in (1, 0, 2.5)),
         (1.0, 1.0, 11, "need lo < hi"),
         (2.0, -2.0, 11, "need lo < hi"),
     ])
@@ -160,10 +163,39 @@ class TestMarginalCDFs:
             return densities.eigenvalue_density("goe", y, 1.0)
 
         verify.chamber_marginal_cdfs(joint, n, -7.0, 7.0, grid_points=15)
-        assert max(rows) <= max(densities.QUAD_BLOCK, rule)
+        assert max(rows) <= densities.QUAD_BLOCK
         assert sum(rows) == n * 15 * rule
         if densities.QUAD_BLOCK >= 2 * rule:
             assert len(rows) < n * 15
+
+    def test_n4_rule_in_blocks(self, monkeypatch):
+        # one value's n = 4 rule has 48^3 = 110 592 rows, 18 times
+        # QUAD_BLOCK: it is built and evaluated in blocks, and the marginal
+        # densities are those of one joint call per value bit for bit
+        lo, hi, grid_points = -7.0, 7.0, 5
+        rows, dens = [], []
+
+        def joint(y):
+            rows.append(len(y))
+            return densities.eigenvalue_density("goe", y, 1.0)
+
+        trapezoid = verify._cumulative_trapezoid
+        monkeypatch.setattr(verify, "_cumulative_trapezoid",
+                            lambda ys, xs: dens.append(ys)
+                            or trapezoid(ys, xs))
+        tracemalloc.start()
+        try:
+            verify.chamber_marginal_cdfs(joint, 4, lo, hi, grid_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert max(rows) <= densities.QUAD_BLOCK
+        assert sum(rows) == 4 * grid_points * verify._MARGINAL_NODES ** 3
+        vs = np.linspace(lo, hi, grid_points)
+        for i, ref in enumerate(_densities_one_value_per_call(
+                joint, 4, lo, hi, vs)):
+            assert dens[i].tobytes() == ref.tobytes()
 
     def test_goe_marginals_monotone_and_normalized(self):
         cdfs = verify.chamber_marginal_cdfs(
@@ -219,6 +251,14 @@ class TestSuites:
         assert report["passed"]
         assert report["failures"] <= report["allowed_failures"]
         assert len(report["tests"]) == 7
+
+    @pytest.mark.parametrize("suite", [verify.imhof_suite,
+                                       verify.marginals_suite])
+    def test_suite_rejects_one_replicate(self, suite):
+        # a standard error needs two replicates
+        with pytest.raises(ValueError, match=r"need at least 2 reps "
+                           r"\(an integer\), got 1"):
+            suite(n=2, horizon=1.0, reps=1, seed=0)
 
     def test_imhof_suite_passes(self):
         report = verify.imhof_suite(n=2, horizon=1.0, reps=4_000, seed=92,
