@@ -3,6 +3,7 @@ statistical verification suites.  Every run echoes its effective
 configuration and seed so results can be reproduced bitwise."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -19,12 +20,79 @@ class _UsageError(Exception):
     prints it as "error: ..." and exits with status 2."""
 
 
+_SIGN = np.int64(-2 ** 63)     # the sign bit of a float64 seen as an int64
+_ROWS = 64                     # rows of the table held as strings at once
+
+
+def _derives(data, bits, j, c, flip):
+    """Whether column j of a float64 table (bits: the table seen as int64)
+    is column c (flip 0) or, c holding no NaN, c with every sign bit flipped
+    (flip _SIGN); compared in slices of 4096 rows, so that no temporary
+    outgrows one slice."""
+    for i in range(0, data.shape[0], 4096):
+        rows = slice(i, i + 4096)
+        if not np.array_equal(bits[rows, j], bits[rows, c] ^ flip) or (
+                flip and np.isnan(data[rows, c]).any()):
+            return False
+    return True
+
+
+def _derived_columns(data):
+    """{j: (c, negate)} for each column j of a float64 table that is bit for
+    bit an earlier source column c or, when c holds no NaN, c with every sign
+    bit flipped.  Columns are matched by the bits of their first and last
+    three rows, then compared whole as strided views; the table is not
+    copied."""
+    bits = data.view(np.int64)
+    ends = np.concatenate([bits[:3], bits[-3:]])
+    seen, derived = {}, {}
+    for j in range(data.shape[1]):
+        for flip, key in ((0, ends[:, j]), (_SIGN, ends[:, j] ^ _SIGN)):
+            c = next((c for c in seen.get(key.tobytes(), ())
+                      if _derives(data, bits, j, c, flip)), None)
+            if c is not None:
+                derived[j] = (c, bool(flip))
+                break
+        else:
+            seen.setdefault(ends[:, j].tobytes(), []).append(j)
+    return derived
+
+
 def _csv_lines(data):
     """CSV text of a 2-D float array, every value as "%.17g", one string per
-    256 rows, so that no more than those rows are held as Python floats."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    for i in range(0, data.shape[0], 256):
-        yield "".join(row % tuple(r) for r in data[i:i + 256].tolist())
+    _ROWS rows, so that no more than those rows are held as Python objects.
+
+    Each source column is formatted once; a derived column (see
+    _derived_columns) reuses its source's strings, and a negation toggles
+    their leading "-".  Both are exact: "%.17g" of the same bits is the same
+    string, and "%.17g" of -x is "-" + "%.17g" of x for every x but NaN
+    (0 and -0, inf and -inf, subnormals alike), which prints "nan" for either
+    sign and so is never a negation's source."""
+    derived = _derived_columns(data)
+    for i in range(0, data.shape[0], _ROWS):
+        yield _block_text(data[i:i + _ROWS], derived)
+
+
+def _block_text(block, derived):
+    """_csv_lines' text of one block of rows; its strings die on return."""
+    k, width = block.shape
+    if not derived:
+        row = ",".join(["%.17g"] * width) + "\n"
+        return (row * k) % tuple(block.ravel().tolist())
+    sources = [j for j in range(width) if j not in derived]
+    # one "%" for the whole block, source columns one after another
+    text = (",".join(["%.17g"] * (k * len(sources)))
+            % tuple(block[:, sources].T.ravel().tolist()))
+    strs = text.split(",")
+    del text
+    cols = [None] * width
+    for s, j in enumerate(sources):
+        cols[j] = strs[s * k:(s + 1) * k]
+    del strs
+    for j, (c, negate) in derived.items():
+        cols[j] = ([v[1:] if v[0] == "-" else "-" + v for v in cols[c]]
+                   if negate else cols[c])
+    return "\n".join([*map(",".join, zip(*cols)), ""])
 
 
 def _parse_point(s):
@@ -251,7 +319,11 @@ def cmd_verify(args, cfg):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and a parser per call is cyclic garbage that lives until the
+    collector next runs."""
     p = argparse.ArgumentParser(
         prog="noncolbm", allow_abbrev=False,
         description="Noncolliding Brownian motion simulators, densities, "

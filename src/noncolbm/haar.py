@@ -101,7 +101,7 @@ def interpolation_scales(T, t):
     part of the finite-horizon process at time t."""
     linalg.check_time(T, name="horizon")
     if not 0 < t < T:
-        raise ValueError("need 0 < t < T")
+        raise ValueError("need 0 < t < T, got t=%r, T=%r" % (t, T))
     sigma2 = t * (T - t) / T
     alpha = T / t ** 2
     return sigma2, alpha

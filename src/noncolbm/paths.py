@@ -122,6 +122,7 @@ def build_pinned_process(n, grid, H, rng):
     end at sqrt(2) times the corresponding entry before the 1/sqrt(2)
     scaling, so the matrix value at the horizon is H itself.
     """
+    linalg.check_count("n", n, least=1)
     H = linalg.check_hermitian(H)
     if H.shape[0] != n:
         raise ValueError("H has wrong dimension")
@@ -168,7 +169,7 @@ def sample_xit_marginal(n, t, T, size, rng):
     """(size, n, n) draws of the finite-horizon process at a fixed time t."""
     linalg.check_time(T, name="horizon")
     if not 0 < t <= T:
-        raise ValueError("need 0 < t <= T")
+        raise ValueError("need 0 < t <= T, got t=%r, T=%r" % (t, T))
     return _gaussian_hermitian(n, t, t * (T - t) / T, size, rng)
 
 

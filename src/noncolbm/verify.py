@@ -82,6 +82,9 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     its whole rule, summed as for a single value.
     """
     linalg.check_count("grid_points", grid_points)
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError("%s must be finite, got %r" % (name, bound))
     if not lo < hi:
         raise ValueError("need lo < hi, got lo=%r, hi=%r" % (lo, hi))
     vs = np.linspace(lo, hi, grid_points)

@@ -1,19 +1,46 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noncolbm import cli, densities, verify
+from noncolbm import cli, densities, paths, sde, verify
+from noncolbm.rng import substream
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def per_value_lines(data):
+    return [",".join("%.17g" % float(v) for v in row) + "\n"
+            for row in data]
+
+
+def row_wise_lines(data):
+    """Reference writer that matches no columns: one "%" per row over
+    every value, 256 rows per string."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for i in range(0, data.shape[0], 256):
+        yield "".join(row % tuple(r) for r in data[i:i + 256].tolist())
+
+
+def matrix_table(model, n, steps, reps, seed):
+    """simulate's table of a matrix model, built from the library."""
+    grid = paths.TimeGrid.uniform(1.0, steps)
+    rows = [paths.matrix_path_csv_rows(paths.build_matrix_process(
+        model, n, grid, substream(seed, r))) for r in range(reps)]
+    if reps > 1:
+        rows = [np.column_stack([np.full(steps + 1, r), x])
+                for r, x in enumerate(rows)]
+    return np.concatenate(rows)
 
 
 def read_csv(path):
@@ -85,6 +112,65 @@ class TestSimulate:
         assert body == expected
         assert body[2].startswith("2,") and body[599].startswith("599,")
 
+    def test_derived_columns_match_per_value_format(self, tmp_path):
+        # a copy and a negation of a NaN-free column reuse its strings; the
+        # negation of a NaN-holding column is formatted itself ("nan", never
+        # "-nan"); a column equal to another at both ends but not in the
+        # second 4096-row slice is formatted itself too
+        vals = [0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"),
+                1.0 / 3.0, -1.0 / 3.0, 2.0 ** 52 + 1]
+        rows = np.arange(4500)
+        a = np.array(vals)[rows % len(vals)]
+        b = np.array(vals + [float("nan")])[rows * 7 % (len(vals) + 1)]
+        near = a.copy()
+        near[4200] = 7.0
+        data = np.column_stack([rows / 3.0, a, b, a, -a, -b, near])
+        assert cli._derived_columns(data) == {3: (1, False), 4: (1, True)}
+        out = tmp_path / "w.csv"
+        cli._write_csv(str(out), {}, ["c"] * data.shape[1], data)
+        body = out.read_text().splitlines(keepends=True)[3:]
+        assert body == per_value_lines(data)
+        assert body[7].split(",")[2] == "nan" == body[7].split(",")[5]
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("model",
+                             ["xit", "gue", "goe", "dyson", "noncolliding"])
+    def test_simulate_body_is_per_value_format(self, tmp_path, model, reps):
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--model", model, "--n", "3", "--steps",
+                    "16", "--reps", str(reps), "--seed", "9",
+                    "--out", str(out)]) == 0
+        if model in ("dyson", "noncolliding"):
+            sim = (sde.simulate_dyson if model == "dyson"
+                   else sde.simulate_noncolliding)
+            res = sim(sde.SDEConfig(n=3, horizon=1.0, dt=1.0 / 16), 1.0,
+                      seed=9, reps=reps)
+            data = np.concatenate(
+                [np.column_stack(([np.full(17, r)] if reps > 1 else [])
+                                 + [res.times, res.states[r]])
+                 for r in range(reps)])
+        else:
+            data = matrix_table(model, 3, 16, reps, 9)
+        assert out.read_text().splitlines(keepends=True)[3:] \
+            == per_value_lines(data)
+
+    def test_writer_peak_memory_at_most_row_wise(self):
+        # the xit table of six replicates of 512 steps at n = 3
+        data = matrix_table("xit", 3, 512, 6, 1)
+        assert data.shape == (3078, 20)
+        assert cli._derived_columns(data)
+        peaks = []
+        for lines in (row_wise_lines, cli._csv_lines):
+            "".join(lines(data))    # first calls allocate once-only state
+            tracemalloc.start()
+            try:
+                for _ in lines(data):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize("model", ["gue", "xit"])
     def test_replicate_rows_do_not_depend_on_rep_count(self, tmp_path,
                                                        model):
@@ -98,6 +184,20 @@ class TestSimulate:
             bodies[reps] = out.read_text().splitlines()[3:]
         assert len(bodies[2]) == 2 * 9 and len(bodies[5]) == 5 * 9
         assert bodies[5][:2 * 9] == bodies[2]
+
+    def test_main_leaves_no_cyclic_garbage(self, tmp_path):
+        # a parser built per call was some 200 objects of cyclic garbage,
+        # held until the collector next ran, and so more peak memory
+        argv = ["simulate", "--model", "xit", "--n", "2", "--steps", "4",
+                "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_simulate_threads_flag_rejected(self, tmp_path, capsys):
         # replicates are built in one loop; there is no thread pool to size

@@ -188,8 +188,9 @@ class TestConvolution:
         assert a == pytest.approx(2.0 / 0.25)
 
     def test_scales_rejects_endpoints(self):
-        for t in (0.0, 2.0, 3.0):
-            with pytest.raises(ValueError):
+        for t in (0.0, 2.0, 3.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"need 0 < t < T, got "
+                               r"t=%r, T=2\.0" % t):
                 haar.interpolation_scales(2.0, t)
         # an infinite horizon gave a NaN bridge variance
         with pytest.raises(ValueError, match="horizon must be positive and "

@@ -179,6 +179,12 @@ class TestMarginalSamplers:
                            "finite, got inf"):
             paths.sample_xit_marginal(2, 0.5, math.inf, 3, substream(63))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, 1.5, math.nan])
+    def test_xit_refusal_names_t_and_horizon(self, t):
+        with pytest.raises(ValueError, match=r"need 0 < t <= T, got t=%r, "
+                           r"T=1\.0" % t):
+            paths.sample_xit_marginal(2, t, 1.0, 3, substream(63))
+
     # same draws in the same order, same arithmetic: equal, not just close
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_match_pair_loop_references(self, n):
@@ -267,6 +273,15 @@ class TestPinnedProcess:
         ev_a, ev_b = np.array(ev_a), np.array(ev_b)
         r = verify.ks_two_sample(ev_a.ravel(), ev_b.ravel(), n_eff=(m, m))
         assert r.p_value > 0.01
+
+    # n = 0 died in numpy's zero-size reduction inside check_hermitian
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValueError,
+                           match=r"need at least 1 n \(an integer\), got %r"
+                           % (n,)):
+            paths.build_pinned_process(n, paths.TimeGrid.uniform(1.0, 2),
+                                       np.zeros((0, 0)), substream(33))
 
     def test_rejects_non_hermitian_target(self):
         with pytest.raises(ValueError):

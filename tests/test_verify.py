@@ -104,6 +104,19 @@ class TestMarginalCDFs:
                 lambda y: densities.eigenvalue_density("goe", y, 1.0),
                 2, lo, hi, grid_points=grid_points)
 
+    # an infinite bound made a NaN grid and died in a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, match", [
+        (-math.inf, 1.0, "lo must be finite, got -inf"),
+        (math.nan, 1.0, "lo must be finite, got nan"),
+        (0.0, math.inf, "hi must be finite, got inf"),
+        (-math.inf, math.inf, "lo must be finite, got -inf"),
+    ])
+    def test_refuses_an_infinite_bound(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            verify.chamber_marginal_cdfs(lambda y: np.ones(len(y)), 1,
+                                         lo, hi, 5)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("grid_points", [5, 15, 801])
     def test_trapezoid_sum_is_scipys(self, monkeypatch, n, grid_points):
