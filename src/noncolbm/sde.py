@@ -11,9 +11,13 @@ D is the gradient of the concave sum_{i<j} ln(y_j - y_i), so y is the unique
 minimizer of a strictly convex function on the Weyl chamber and never
 leaves it (Ngo & Taguchi, "Semi-implicit Euler-Maruyama approximation for
 noncolliding particle systems", Ann. Appl. Probab. 30, 2020).  All live
-replicates are solved together by damped Newton.  A simulate call draws
-every replicate from one RNG stream, so its paths depend on the replicate
-count as well as on the seed.
+replicates are solved together by damped Newton.  Newton starts from the
+two-particle solution of each adjacent gap followed by one fixed-point
+sweep y <- a + dt D(y), which brings in the non-adjacent pairs (skipped at
+N <= 2, where the pair start is exact; kept only on rows it leaves strictly
+ordered).  It runs on a working set of the unconverged rows that only
+shrinks.  A simulate call draws every replicate from one RNG stream, so
+its paths depend on the replicate count as well as on the seed.
 """
 
 import math
@@ -62,8 +66,14 @@ class SimResult:
     def at_time(self, t):
         """States of all replicates at the grid time closest to t.
 
-        Raises ValueError when any replicate is flagged failed: a statistic
-        of the survivors alone would be biased."""
+        Raises ValueError when t is not finite or lies outside the grid's
+        [times[0], times[-1]], and when any replicate is flagged failed: a
+        statistic of the survivors alone would be biased."""
+        linalg.check_time(t, zero_ok=True)
+        lo, hi = float(self.times[0]), float(self.times[-1])
+        if not lo <= t <= hi:
+            raise ValueError("t must lie in [%r, %r], got %r"
+                             % (lo, hi, float(t)))
         n_failed = int(self.failed.sum())
         if n_failed:
             raise ValueError("%d of %d replicates failed; refusing to return "
@@ -128,27 +138,44 @@ def _pair_start(a, dt):
     return a.mean(-1, keepdims=True) + c - c.mean(-1, keepdims=True)
 
 
+def _start(a, dt):
+    """Strictly ordered Newton start for implicit_step: _pair_start, then
+    one fixed-point sweep a + dt D(y) on each row where the sweep stays
+    strictly ordered.  The pair start ignores every non-adjacent pair; one
+    sweep brings them in, more sweeps overshoot on clustered rows.  At
+    N <= 2 the pair start is already exact and is returned as it is."""
+    y = _pair_start(a, dt)
+    if a.shape[-1] > 2:
+        sweep = a + dt * dyson_drift(y)
+        ordered = (sweep[:, 1:] > sweep[:, :-1]).all(-1)
+        y = np.where(ordered[:, None], sweep, y)
+    return y
+
+
 def implicit_step(a, dt):
     """Solve y = a + dt * dyson_drift(y) for each row of a batch (m, n).
 
     y minimizes _phi(y) = |y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), which
     is strictly convex on the Weyl chamber with Hessian I + dt L, L the graph
-    Laplacian with weights 1 / (y_i - y_j)^2.  Newton starts from
-    _pair_start and solves the stack of Newton systems of all unconverged
-    rows at once; every iterate is strictly ordered and lowers _phi.
-    Returns (y, converged); a row that ends non-finite or unconverged after
-    the iteration cap has converged False.
+    Laplacian with weights 1 / (y_i - y_j)^2.  Newton starts from _start
+    and solves the stack of Newton systems of the working set at once: the
+    iterates, targets, tolerances and batch indices of the unconverged
+    rows, compacted only when a row converges or turns non-finite, which is
+    also when its iterate is written out.  Every iterate is strictly
+    ordered and lowers _phi.  Returns (y, converged); a row that ends
+    non-finite or unconverged after the iteration cap has converged False.
     """
     m, n = a.shape
-    y = _pair_start(a, dt)
+    y = _start(a, dt)
     # the rounding floor of lam2: g = y - a - dt D(y) is known to about
     # eps times the size of its terms
     tol = dt * _NEWTON_TOL + (8.0 * n * np.finfo(float).eps * np.maximum(
         np.abs(a), np.abs(y)).max(-1, initial=0.0)) ** 2
     converged = np.zeros(m, dtype=bool)
-    active = np.arange(m)
+    rows, ya, aa = np.arange(m), y, a
     for _ in range(_NEWTON_MAX_ITER):
-        ya, aa = y[active], a[active]
+        if rows.size == 0:
+            break
         inv = _inverse_differences(ya)
         g = ya - aa - dt * np.einsum("mij->mi", inv)
         w = inv * inv
@@ -161,18 +188,21 @@ def implicit_step(a, dt):
         # chamber and lowers _phi; it is taken without a line search, which
         # rounding in _phi would stall near the solution.
         full = ya + p
-        take = (lam2 <= dt / 16.0) & (np.diff(full, axis=-1) > 0).all(-1)
-        y[active[take]] = full[take]
-        done = take & (lam2 <= tol[active])
-        converged[active[done]] = True
+        take = (lam2 <= dt / 16.0) & (full[:, 1:] > full[:, :-1]).all(-1)
+        ya = np.where(take[:, None], full, ya)
+        done = take & (lam2 <= tol)
         finite = np.isfinite(lam2)
         damp = finite & ~take
         if damp.any():
-            y[active[damp]] = _backtrack(ya[damp], aa[damp], p[damp],
-                                         lam2[damp], dt)
-        active = active[finite & ~done]
-        if active.size == 0:
-            break
+            ya[damp] = _backtrack(ya[damp], aa[damp], p[damp], lam2[damp],
+                                  dt)
+        leave = done | ~finite
+        if leave.any():
+            y[rows[leave]] = ya[leave]
+            converged[rows[done]] = True
+            stay = ~leave
+            rows, ya, aa, tol = rows[stay], ya[stay], aa[stay], tol[stay]
+    y[rows] = ya   # the rows that reached the iteration cap
     return y, converged
 
 

@@ -246,6 +246,25 @@ class TestIntegration:
         res.failed[:] = False
         np.testing.assert_array_equal(res.at_time(1.0), states[:, 2, :])
 
+    @pytest.mark.parametrize("t, match", [
+        (math.nan, "time must be nonnegative and finite, got nan"),
+        (-3.0, "time must be nonnegative and finite, got -3.0"),
+        (7.0, r"t must lie in \[0.0, 0.5\], got 7.0"),
+    ])
+    def test_at_time_refuses_time_off_the_grid(self, t, match):
+        res = sde.SimResult(np.linspace(0.0, 0.5, 3),
+                            np.zeros((2, 3, 2)), np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match=match):
+            res.at_time(t)
+
+    def test_at_time_accepts_the_grid_ends(self):
+        times = np.linspace(0.0, 0.5, 3)
+        states = np.arange(12, dtype=float).reshape(2, 3, 2)
+        res = sde.SimResult(times, states, np.zeros(2, dtype=bool))
+        np.testing.assert_array_equal(res.at_time(times[-1]),
+                                      states[:, 2, :])
+        np.testing.assert_array_equal(res.at_time(0.0), states[:, 0, :])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_no_flagged_replicates_from_origin(self, n):
         # early steps from the origin, where the gaps are of order sqrt(dt)
@@ -317,8 +336,72 @@ class TestImplicitStep:
         assert ok.all()
         np.testing.assert_array_equal(y, a)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_batch(self, n):
+        y, ok = sde.implicit_step(np.zeros((0, n)), self.DT)
+        assert y.shape == (0, n) and ok.shape == (0,)
+
     def test_non_finite_row_is_flagged_not_dropped(self):
         a = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]])
         y, ok = sde.implicit_step(a, self.DT)
         np.testing.assert_array_equal(ok, [True, False])
         assert y.shape == a.shape
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_do_not_depend_on_the_batch(self, n):
+        # rows that converge, damp and fail at different passes, in one
+        # batch: each must come out as it does alone
+        rng = substream(58, n)
+        separated = np.sort(rng.normal(size=(5, n)), axis=-1)
+        tight = _spaced(n, 1e-6) + rng.normal(size=(5, 1))
+        reversed_ = np.stack([-10.0 * _spaced(n, gap)
+                              for gap in (1e-6, 1e-3, 0.05, 1.0)])
+        nan_row = np.full((1, n), np.nan)
+        a = np.concatenate([separated, tight, nan_row, reversed_])
+        a = a[rng.permutation(len(a))]
+        y, ok = sde.implicit_step(a, self.DT)
+        assert (~ok).sum() == 1
+        for i, row in enumerate(a):
+            y1, ok1 = sde.implicit_step(row[None, :], self.DT)
+            np.testing.assert_array_equal(y[i], y1[0])
+            assert ok[i] == ok1[0]
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Count the Newton passes of sde: one np.linalg.solve each."""
+        calls = [0]
+        solve = np.linalg.solve
+
+        def counting_solve(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_separated_rows_converge_in_two_passes(self, n, monkeypatch):
+        # every gap of a at least 16 sqrt(dt): the start from the pair
+        # solution alone takes 3 passes at N >= 4
+        calls = self._count_passes(monkeypatch)
+        rng = substream(57, n)
+        a = np.cumsum(16.0 * math.sqrt(self.DT)
+                      * (1.0 + 0.25 * rng.random((200, n))), axis=-1)
+        y, ok = sde.implicit_step(a + rng.normal(size=(200, 1)), self.DT)
+        assert ok.all()
+        assert calls[0] <= 2
+
+    def test_two_particles_take_one_pass(self, monkeypatch):
+        calls = self._count_passes(monkeypatch)
+        rng = substream(59)
+        a = np.concatenate([rng.normal(size=(200, 2)),
+                            -10.0 * _spaced(2, 1e-6)[None, :]])
+        y, ok = sde.implicit_step(a, self.DT)
+        assert ok.all()
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_start_is_ordered_on_reversed_neighbours(self, n):
+        a = np.stack([-10.0 * _spaced(n, gap)
+                      for gap in (1e-6, 1e-3, 0.05, 1.0)])
+        assert (np.diff(sde._start(a, self.DT), axis=-1) > 0).all()
