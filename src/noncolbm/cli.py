@@ -20,78 +20,39 @@ class _UsageError(Exception):
     prints it as "error: ..." and exits with status 2."""
 
 
-_SIGN = np.int64(-2 ** 63)     # the sign bit of a float64 seen as an int64
 _ROWS = 64                     # rows of the table held as strings at once
 
 
-def _derives(data, bits, j, c, flip):
-    """Whether column j of a float64 table (bits: the table seen as int64)
-    is column c (flip 0) or, c holding no NaN, c with every sign bit flipped
-    (flip _SIGN); compared in slices of 4096 rows, so that no temporary
-    outgrows one slice."""
-    for i in range(0, data.shape[0], 4096):
-        rows = slice(i, i + 4096)
-        if not np.array_equal(bits[rows, j], bits[rows, c] ^ flip) or (
-                flip and np.isnan(data[rows, c]).any()):
-            return False
-    return True
-
-
-def _derived_columns(data):
-    """{j: (c, negate)} for each column j of a float64 table that is bit for
-    bit an earlier source column c or, when c holds no NaN, c with every sign
-    bit flipped.  Columns are matched by the bits of their first and last
-    three rows, then compared whole as strided views; the table is not
-    copied."""
-    bits = data.view(np.int64)
-    ends = np.concatenate([bits[:3], bits[-3:]])
-    seen, derived = {}, {}
-    for j in range(data.shape[1]):
-        for flip, key in ((0, ends[:, j]), (_SIGN, ends[:, j] ^ _SIGN)):
-            c = next((c for c in seen.get(key.tobytes(), ())
-                      if _derives(data, bits, j, c, flip)), None)
-            if c is not None:
-                derived[j] = (c, bool(flip))
-                break
-        else:
-            seen.setdefault(ends[:, j].tobytes(), []).append(j)
-    return derived
-
-
-def _csv_lines(data):
+def _csv_lines(data, colmap=None):
     """CSV text of a 2-D float array, every value as "%.17g", one string per
     _ROWS rows, so that no more than those rows are held as Python objects.
 
-    Each source column is formatted once; a derived column (see
-    _derived_columns) reuses its source's strings, and a negation toggles
-    their leading "-".  Both are exact: "%.17g" of the same bits is the same
-    string, and "%.17g" of -x is "-" + "%.17g" of x for every x but NaN
-    (0 and -0, inf and -inf, subnormals alike), which prints "nan" for either
-    sign and so is never a negation's source."""
-    derived = _derived_columns(data)
+    colmap, when given, lists one (column of data, negate) pair per written
+    column, as paths.matrix_path_csv_rows gives a Hermitian path's lower
+    triangle from its upper one: each column of data is formatted once, a
+    written column reuses its source's strings, and a negation toggles their
+    leading "-".  That is exact when data holds no NaN, as a matrix path
+    (finite normals times finite scales) does not: "%.17g" of -x is "-" +
+    "%.17g" of x for every other x (0 and -0, inf and -inf, subnormals
+    alike)."""
     for i in range(0, data.shape[0], _ROWS):
-        yield _block_text(data[i:i + _ROWS], derived)
+        yield _block_text(data[i:i + _ROWS], colmap)
 
 
-def _block_text(block, derived):
+def _block_text(block, colmap):
     """_csv_lines' text of one block of rows; its strings die on return."""
     k, width = block.shape
-    if not derived:
+    if colmap is None:
         row = ",".join(["%.17g"] * width) + "\n"
         return (row * k) % tuple(block.ravel().tolist())
-    sources = [j for j in range(width) if j not in derived]
-    # one "%" for the whole block, source columns one after another
-    text = (",".join(["%.17g"] * (k * len(sources)))
-            % tuple(block[:, sources].T.ravel().tolist()))
+    # one "%" for the whole block, columns one after another
+    text = ",".join(["%.17g"] * block.size) % tuple(block.T.ravel().tolist())
     strs = text.split(",")
     del text
-    cols = [None] * width
-    for s, j in enumerate(sources):
-        cols[j] = strs[s * k:(s + 1) * k]
+    sources = [strs[c * k:(c + 1) * k] for c in range(width)]
     del strs
-    for j, (c, negate) in derived.items():
-        cols[j] = ([v[1:] if v[0] == "-" else "-" + v for v in cols[c]]
-                   if negate else cols[c])
+    cols = [[v[1:] if v[0] == "-" else "-" + v for v in sources[c]]
+            if negate else sources[c] for c, negate in colmap]
     return "\n".join([*map(",".join, zip(*cols)), ""])
 
 
@@ -199,12 +160,12 @@ def _configure(args, config):
     return cfg
 
 
-def _write_csv(path, header_cfg, columns, data):
+def _write_csv(path, header_cfg, columns, data, colmap=None):
     with open(path, "w", newline="\n") as fh:
         fh.write("# config %s\n# digest %s\n" % (
             json.dumps(header_cfg, sort_keys=True), _digest(header_cfg)))
         fh.write(",".join(columns) + "\n")
-        fh.writelines(_csv_lines(data))
+        fh.writelines(_csv_lines(data, colmap))
 
 
 def _rep_rows(reps, k, width):
@@ -240,16 +201,19 @@ def cmd_simulate(args, cfg):
                  float(inc.var()) if inc.size else float("nan"), T / steps))
     else:
         grid = paths.TimeGrid.uniform(T, steps)
-        data, lead = _rep_rows(reps, steps + 1, 1 + 2 * n * n)
         for r in range(reps):
-            mp = paths.build_matrix_process(model, n, grid,
-                                            substream(seed, r))
-            data[r, :, lead:] = paths.matrix_path_csv_rows(mp)
+            sources, colmap = paths.matrix_path_csv_rows(
+                paths.build_matrix_process(model, n, grid, substream(seed, r)))
+            if r == 0:
+                data, lead = _rep_rows(reps, steps + 1, sources.shape[1])
+            data[r, :, lead:] = sources
         columns = (["rep"] if reps > 1 else []) + ["time"]
         for i in range(n):
             for j in range(n):
                 columns += [f"re{i+1}{j+1}", f"im{i+1}{j+1}"]
-        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]))
+        colmap = [(0, False)] * lead + [(lead + c, neg) for c, neg in colmap]
+        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]),
+                   colmap)
         print("summary: replicates=%d grid_points=%d" % (reps, steps + 1))
     return 0
 
@@ -297,6 +261,9 @@ def cmd_verify(args, cfg):
     suite, n, T, reps, samples, seed = (cfg[k] for k in (
         "suite", "n", "horizon", "reps", "samples", "seed"))
 
+    if suite == "marginals" and n > verify.MARGINALS_MAX_N:
+        raise _UsageError("--n must be at most %d for the marginals suite, "
+                          "got %d" % (verify.MARGINALS_MAX_N, n))
     sde_sizes = {"n": n, "horizon": T, "reps": reps}
     suite_fn, sizes = {
         "hc": (verify.hc_suite, {"samples": samples}),

@@ -174,12 +174,29 @@ def sample_xit_marginal(n, t, T, size, rng):
 
 
 def matrix_path_csv_rows(mp):
-    """CSV rows (K, 1 + 2 N^2): time, then the entries row-major with real
-    and imaginary parts interleaved."""
-    k = mp.values.shape[0]
-    entries = mp.values.reshape(k, -1)
-    rows = np.empty((k, 1 + 2 * entries.shape[1]))
-    rows[:, 0] = mp.grid.times
-    rows[:, 1::2] = entries.real
-    rows[:, 2::2] = entries.imag
-    return rows
+    """A path's CSV rows as (sources, columns).
+
+    sources (K, N^2 + 2): time, the real parts of the diagonal and upper
+    triangle in np.triu_indices(N) order, the imaginary parts of the strict
+    upper triangle in that order, and a zero column.  columns has one
+    (source, negate) pair per column of the full row (time, then the entries
+    row-major with real and imaginary parts interleaved): H_ji = conj(H_ij)
+    takes the lower triangle from the upper one, its imaginary parts
+    negated, and the diagonal's imaginary parts are the zero column, +0.0 as
+    _hermitian writes them."""
+    k, n = mp.values.shape[:2]
+    iu, ju = np.triu_indices(n)
+    off = iu != ju
+    upper = mp.values[:, iu, ju]
+    sources = np.column_stack([mp.grid.times, upper.real,
+                               upper.imag[:, off], np.zeros(k)])
+    re = np.empty((n, n), dtype=int)
+    re[iu, ju] = re[ju, iu] = 1 + np.arange(iu.size)
+    im = np.full((n, n), sources.shape[1] - 1)
+    im[iu[off], ju[off]] = im[ju[off], iu[off]] = \
+        1 + iu.size + np.arange(off.sum())
+    columns = [(0, False)]
+    for i in range(n):
+        for j in range(n):
+            columns += [(int(re[i, j]), False), (int(im[i, j]), i > j)]
+    return sources, columns

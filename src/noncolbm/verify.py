@@ -15,6 +15,9 @@ from .densities import MCEstimate
 from .rng import substream
 
 P_THRESHOLD = 0.01
+# the marginals suite's closed-form check builds 801 marginal CDFs on rules
+# of 48^(n-1) nodes: about 48 min at n = 5, and 48 times that per further n
+MARGINALS_MAX_N = 4
 _MARGINAL_NODES = 48   # Gauss-Legendre nodes per axis of a marginal's rule
 # (times, scales): densities_suite compares the survival evaluators at each t
 # and x = scale * (0, 1, ..., n - 1), n = 2, 3
@@ -72,7 +75,8 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     density of coordinate i at value v integrates the joint over the lower
     coordinates ordered below v and the upper coordinates ordered above v.
     Returns a list of callables (numpy-vectorized via interpolation on a
-    grid of grid_points >= 2 values from lo < hi).
+    grid of grid_points >= 2 values from lo < hi).  ValueError for a
+    coordinate whose trapezoid mass on the grid is not positive and finite.
 
     The grid values are taken in blocks: joint is called once per block, on
     the rule's nodes mapped to each value of the block in turn, at most
@@ -127,7 +131,11 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
                     pts.reshape(-1, n)).reshape(v.size, -1)
             dens[k:k + step] *= np.sum(terms, axis=1)
         cdf = _cumulative_trapezoid(dens, vs)
-        cdfs.append(functools.partial(np.interp, xp=vs, fp=cdf / cdf[-1],
+        mass = float(cdf[-1])
+        if not 0.0 < mass < math.inf:
+            raise ValueError("coordinate %d has marginal mass %r on the grid:"
+                             " need a positive, finite mass" % (i, mass))
+        cdfs.append(functools.partial(np.interp, xp=vs, fp=cdf / mass,
                                       left=0.0, right=1.0))
     return cdfs
 
@@ -156,8 +164,11 @@ def _ks_entry(name, result):
 def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     """Eigenvalue marginals of the finite-horizon matrix process against
     states of the finite-horizon noncolliding SDE, plus the closed-form
-    ensemble density at the horizon."""
+    ensemble density at the horizon.  Refuses n > MARGINALS_MAX_N."""
     linalg.check_count("reps", reps)
+    if n > MARGINALS_MAX_N:
+        raise ValueError("the marginals suite takes at most %d particles, "
+                         "got n=%r" % (MARGINALS_MAX_N, n))
     T = horizon
     cfg = sde.SDEConfig(n=n, horizon=T, dt=dt)
     res = sde.simulate_noncolliding(cfg, T, seed=seed, reps=reps)

@@ -32,11 +32,16 @@ def row_wise_lines(data):
         yield "".join(row % tuple(r) for r in data[i:i + 256].tolist())
 
 
-def matrix_table(model, n, steps, reps, seed):
-    """simulate's table of a matrix model, built from the library."""
-    grid = paths.TimeGrid.uniform(1.0, steps)
-    rows = [paths.matrix_path_csv_rows(paths.build_matrix_process(
-        model, n, grid, substream(seed, r))) for r in range(reps)]
+def matrix_table(model, n, steps, reps, seed, horizon=1.0):
+    """simulate's table of a matrix model, built from the library: time,
+    then every entry row-major, its real and imaginary parts interleaved."""
+    grid = paths.TimeGrid.uniform(horizon, steps)
+    rows = []
+    for r in range(reps):
+        v = paths.build_matrix_process(model, n, grid,
+                                       substream(seed, r)).values
+        rows.append(np.column_stack([grid.times, np.stack(
+            [v.real, v.imag], axis=-1).reshape(steps + 1, -1)]))
     if reps > 1:
         rows = [np.column_stack([np.full(steps + 1, r), x])
                 for r, x in enumerate(rows)]
@@ -113,24 +118,21 @@ class TestSimulate:
         assert body[2].startswith("2,") and body[599].startswith("599,")
 
     def test_derived_columns_match_per_value_format(self, tmp_path):
-        # a copy and a negation of a NaN-free column reuse its strings; the
-        # negation of a NaN-holding column is formatted itself ("nan", never
-        # "-nan"); a column equal to another at both ends but not in the
-        # second 4096-row slice is formatted itself too
+        # a copy and a negation given by a column map reuse their source's
+        # strings; a source column holding NaN is formatted as it is
         vals = [0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"),
                 1.0 / 3.0, -1.0 / 3.0, 2.0 ** 52 + 1]
         rows = np.arange(4500)
         a = np.array(vals)[rows % len(vals)]
         b = np.array(vals + [float("nan")])[rows * 7 % (len(vals) + 1)]
-        near = a.copy()
-        near[4200] = 7.0
-        data = np.column_stack([rows / 3.0, a, b, a, -a, -b, near])
-        assert cli._derived_columns(data) == {3: (1, False), 4: (1, True)}
+        colmap = [(0, False), (1, False), (2, False), (1, False), (1, True)]
+        sources = np.column_stack([rows / 3.0, a, b])
+        data = np.column_stack([rows / 3.0, a, b, a, -a])
         out = tmp_path / "w.csv"
-        cli._write_csv(str(out), {}, ["c"] * data.shape[1], data)
+        cli._write_csv(str(out), {}, ["c"] * data.shape[1], sources, colmap)
         body = out.read_text().splitlines(keepends=True)[3:]
         assert body == per_value_lines(data)
-        assert body[7].split(",")[2] == "nan" == body[7].split(",")[5]
+        assert body[7].split(",")[2] == "nan"
 
     @pytest.mark.parametrize("reps", [1, 3])
     @pytest.mark.parametrize("model",
@@ -151,20 +153,40 @@ class TestSimulate:
                  for r in range(reps)])
         else:
             data = matrix_table(model, 3, 16, reps, 9)
+            # a matrix path holds no NaN at a huge finite horizon either,
+            # so its lower triangle's strings stay those of its values
+            huge = tmp_path / "huge.csv"
+            assert run(["simulate", "--model", model, "--n", "3", "--steps",
+                        "16", "--reps", str(reps), "--seed", "9",
+                        "--horizon", "1e300", "--out", str(huge)]) == 0
+            assert huge.read_text().splitlines(keepends=True)[3:] \
+                == per_value_lines(matrix_table(model, 3, 16, reps, 9, 1e300))
         assert out.read_text().splitlines(keepends=True)[3:] \
             == per_value_lines(data)
 
     def test_writer_peak_memory_at_most_row_wise(self):
-        # the xit table of six replicates of 512 steps at n = 3
+        # the xit table of six replicates of 512 steps at n = 3, written
+        # row by row in full and as simulate writes it: 12 source columns
+        # (rep, time, the diagonal's real parts, the upper triangle's real
+        # and imaginary parts, a zero column) and their map
         data = matrix_table("xit", 3, 512, 6, 1)
         assert data.shape == (3078, 20)
-        assert cli._derived_columns(data)
+        grid = paths.TimeGrid.uniform(1.0, 512)
+        tables = [paths.matrix_path_csv_rows(paths.build_matrix_process(
+            "xit", 3, grid, substream(1, r))) for r in range(6)]
+        sources = np.concatenate([np.column_stack([np.full(513, r), x])
+                                  for r, (x, _) in enumerate(tables)])
+        colmap = [(0, False)] + [(c + 1, neg) for c, neg in tables[0][1]]
+        assert sources.shape == (3078, 12) and len(colmap) == 20
+        assert "".join(cli._csv_lines(sources, colmap)) \
+            == "".join(row_wise_lines(data))
         peaks = []
-        for lines in (row_wise_lines, cli._csv_lines):
-            "".join(lines(data))    # first calls allocate once-only state
+        for lines, args in ((row_wise_lines, (data,)),
+                            (cli._csv_lines, (sources, colmap))):
+            "".join(lines(*args))   # first calls allocate once-only state
             tracemalloc.start()
             try:
-                for _ in lines(data):
+                for _ in lines(*args):
                     pass
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -411,6 +433,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["marginals", "--reps", "0"], ["marginals", "--reps", "1"],
         ["marginals", "--reps", "50", "--n", "0"],
+        ["marginals", "--reps", "50", "--n", "5"],
         ["marginals", "--reps", "50", "--horizon", "0"],
         ["marginals", "--reps", "50", "--horizon", "inf"],
         ["imhof", "--reps", "50", "--horizon", "-1"],

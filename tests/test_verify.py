@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.stats import beta, norm
 
-from noncolbm import densities, verify
+from noncolbm import densities, sde, verify
 from noncolbm.rng import substream
 
 
@@ -116,6 +116,15 @@ class TestMarginalCDFs:
         with pytest.raises(ValueError, match=match):
             verify.chamber_marginal_cdfs(lambda y: np.ones(len(y)), 1,
                                          lo, hi, 5)
+
+    def test_refuses_a_zero_mass(self):
+        # coordinate 1's density vanishes at both ends of a two-point grid:
+        # its CDF was 0 / 0, NaN, with only a RuntimeWarning
+        with pytest.raises(ValueError, match="coordinate 1 has marginal mass"
+                           " 0.0 on the grid"):
+            verify.chamber_marginal_cdfs(
+                lambda y: densities.eigenvalue_density("goe", y, 1.0),
+                3, -5.0, 5.0, grid_points=2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("grid_points", [5, 15, 801])
@@ -306,6 +315,13 @@ class TestSuites:
         assert {"suite", "tests", "failures", "allowed_failures",
                 "passed"} <= set(report)
         assert report["passed"]
+
+    def test_marginals_suite_refuses_n_above_4(self, monkeypatch):
+        # its closed-form check would take some 48 min at n = 5; refused
+        # before the SDE runs
+        monkeypatch.setattr(sde, "simulate_noncolliding", None)
+        with pytest.raises(ValueError, match="at most 4 particles, got n=5"):
+            verify.marginals_suite(n=5, reps=50)
 
 
 class TestRetry:
