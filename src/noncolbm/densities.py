@@ -79,28 +79,50 @@ def _pairs(t, xs):
             linalg.pair_gaps(xs) / (2.0 * math.sqrt(t)))
 
 
+def _pair_matrix(v, n, out=None):
+    """Antisymmetric matrix of the values v (N(N-1)/2, ...) at the pairs
+    i < j of N points (pair_index order), batch axes last: shape
+    (m, m, ...), m = N - N % 2, the layout of linalg._pfaffian_batch.  v is
+    overwritten.  out, if given, is a zero array of that shape to fill.
+
+    Even N: A_ij = v_ij.  Odd N: the de Bruijn matrix of v, bordered by a
+    row and column of ones, has its first elimination step taken in closed
+    form.  Subtracting row and column 0 from rows and columns 1..N-1 is a
+    congruence of determinant 1, after which the border's only entry is the
+    1 in row 0; so Pf of the bordered matrix is Pf of A'_ij = (v_ij + v_0i)
+    - v_0j, 1 <= i < j <= N-1, a matrix of order N - 1 with no border.
+    """
+    m = n - n % 2
+    iu, ju = linalg.pair_index(m)
+    if m < n:
+        # the pairs (0, j) come first, then those of 1..N-1
+        w = v[m:]
+        w += v[iu]
+        w -= v[ju]
+        v = w
+    a = np.zeros((m, m) + v.shape[1:], dtype=v.dtype) if out is None else out
+    a[iu, ju] = v
+    # negated in place, as a product with -1.0: numpy's np.negative is not
+    # vectorized for complex arrays, and is five times slower on a 100-row
+    # N=6 drift stack
+    a[ju, iu] = np.multiply(v, -1.0, out=v)
+    return a
+
+
 def _erf_matrix(u, n):
     """Antisymmetric matrix erf(u_ij) of the scaled gaps u (..., N(N-1)/2)
-    of a batch of N points (see _pairs), batch axes last: shape (m, m, ...),
-    m = N + N % 2, the layout of linalg._pfaffian_batch.  Odd N is bordered
-    to even dimension with a row/column of the wide-separation entry value 1
-    (erf at infinity after calibration)."""
-    iu, ju = linalg.pair_index(n)
-    v = np.moveaxis(erf(u), -1, 0)
-    e = np.zeros((n + n % 2,) * 2 + u.shape[:-1])
-    e[iu, ju] = v
-    e[ju, iu] = -v
-    if n % 2 == 1:
-        e[:n, n] = 1.0
-        e[n, :n] = -1.0
-    return e
+    of a batch of N points (see _pairs), batch axes last, of order N - N % 2
+    (see _pair_matrix): its Pfaffian is the survival probability, for odd N
+    with no bordered matrix (erf at infinity is the border's 1)."""
+    return _pair_matrix(np.moveaxis(erf(u), -1, 0), n)
 
 
 def survival_pfaffian(t, x):
     """No-collision probability via the Pfaffian of the erf-entry matrix.
 
-    Odd N is handled by bordering (see _erf_matrix).  Vectorized over a
-    batch of start vectors (..., N).  t == 0 returns 1 for strict input.
+    Odd N evaluates a Pfaffian of order N - 1, the border's pivot step
+    taken in closed form (see _pair_matrix).  Vectorized over a batch of
+    start vectors (..., N).  t == 0 returns 1 for strict input.
     """
     xs = np.asarray(x, dtype=float)
     linalg.check_time(t, zero_ok=True)
@@ -122,7 +144,9 @@ def survival_log_gradient(t, x):
     and x_j only: d_i A_ij = -G_ij and d_j A_ij = +G_ij with G_ij =
     exp(-u_ij^2) / sqrt(pi t).  d_k ln Pf(A) = dPf(A)[d_k A] / Pf(A) is
     taken by complex step, with the N Pfaffians of A + i h d_k A in one
-    batch.  This differentiates the Pfaffian kernel itself; the explicit
+    batch, built from complex pair values erf(u_ij) + i h d_k A_ij by
+    _pair_matrix (whose odd-N fold is linear, so it folds A and d_k A
+    alike).  This differentiates the Pfaffian kernel itself; the explicit
     inverse in 1/2 tr(A^-1 d_k A) loses all accuracy once five or more
     particles cluster within a small fraction of sqrt(t), where A is
     ill-conditioned.
@@ -131,17 +155,22 @@ def survival_log_gradient(t, x):
     n = xs.shape[-1]
     linalg.check_time(t)
     iu, ju, u = _pairs(t, xs)
-    e = _erf_matrix(u, n)
-    hg = np.moveaxis(
-        _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t)), -1, 0)
-    # the N matrices of a row are the last axis of the batch-last stack
-    s = np.zeros(e.shape + (n,), dtype=complex)
-    s.real = e[..., None]
-    d = s.imag   # a view; d[..., k] = h d_k A has 2(N-1) nonzero entries
-    d[iu, ju, ..., iu] = d[ju, iu, ..., ju] = -hg   # d_i A_ij, d_j A_ji
-    d[iu, ju, ..., ju] = d[ju, iu, ..., iu] = hg    # d_j A_ij, d_i A_ji
+    u = np.moveaxis(u, -1, 0)
+    hg = _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t))
+    # the stack is allocated before the pair values, so that the
+    # elimination's temporaries take their memory once they are freed
+    s = np.zeros((n - n % 2,) * 2 + (n,) + u.shape[1:], dtype=complex)
+    # pairs first, then the N directions, then the batch: (P, N, ...), so
+    # that the real part is written along whole batch rows
+    v = np.zeros((iu.size, n) + u.shape[1:], dtype=complex)
+    v.real = erf(u)[:, None]
+    p = np.arange(iu.size)
+    v.imag[p, iu] = -hg   # d_i A_ij
+    v.imag[p, ju] = hg    # d_j A_ij
+    _pair_matrix(v, n, out=s)
+    del v
     pf = linalg._pfaffian_batch(s)
-    return pf.imag / (_COMPLEX_STEP * pf.real)
+    return np.moveaxis(pf.imag / (_COMPLEX_STEP * pf.real), 0, -1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -371,8 +400,9 @@ def finite_horizon_density(T, s, x, t, y):
     y_j - y_i are formed once, for the Vandermonde product of the GOE
     density and, scaled in place, for the erf entries of the survival
     Pfaffian.  y may be a batch (..., N).  The survival factors use the fast
-    Pfaffian evaluator; ValueError when the survival from x is not positive,
-    as it comes out once clustered particles cancel the Pfaffian's digits.
+    Pfaffian evaluator, of order N - 1 at odd N with no bordered matrix (see
+    _pair_matrix); ValueError when the survival from x is not positive, as
+    it comes out once clustered particles cancel the Pfaffian's digits.
     """
     if t > T:
         raise ValueError("need t <= T")

@@ -151,23 +151,53 @@ class TestSurvival:
                     rtol=1e-12)
 
     def test_log_gradient_matches_dense_stack(self):
-        # the complex-step stack built as e + i h d from a dense real d_k A
-        # stack gives the same bits as the scattered one
+        # the complex-step pair values built as erf(u) + i h d from a dense
+        # real d_k A_ij stack, folded into the matrix by the same helper,
+        # give the same bits as the scattered ones
         rng = substream(23)
         for n in range(2, 9):
             xs = np.sort(2.0 * rng.normal(size=(50, n)), axis=-1)
             iu, ju, u = densities._pairs(0.8, xs)
-            e = np.moveaxis(densities._erf_matrix(u, n), (0, 1), (-2, -1))
             g = np.exp(-u * u) / math.sqrt(math.pi * 0.8)
-            d = np.zeros(xs.shape[:-1] + (n,) + e.shape[-2:])
-            d[..., iu, iu, ju] = d[..., ju, ju, iu] = -g
-            d[..., ju, iu, ju] = d[..., iu, ju, iu] = g
-            pf = linalg._pfaffian_batch(np.moveaxis(
-                e[..., None, :, :] + 1j * densities._COMPLEX_STEP * d,
-                (-2, -1), (0, 1)))
+            # d_k A_ij = G_ij (delta_kj - delta_ki), pairs first: (P, 50, n)
+            d = np.eye(n)[ju] - np.eye(n)[iu]
+            d = d[:, None, :] * g.T[:, :, None]
+            v = erf(u).T[:, :, None] + 1j * densities._COMPLEX_STEP * d
+            pf = linalg._pfaffian_batch(densities._pair_matrix(v, n))
             np.testing.assert_array_equal(
                 densities.survival_log_gradient(0.8, xs),
                 pf.imag / (densities._COMPLEX_STEP * pf.real))
+
+    @pytest.mark.parametrize("n", (1, 3, 5, 7, 9))
+    def test_odd_n_fold_is_the_bordered_pfaffian(self, n):
+        # the border's pivot step in closed form: Pf of the (N+1) x (N+1)
+        # erf matrix bordered by ones is Pf of the folded N - 1 one
+        x = 3.0 * np.linspace(-1.0, 1.0, n)
+        h = densities._COMPLEX_STEP
+        u = (x[None, :] - x[:, None]) / 2.0
+        g = np.exp(-u * u) / math.sqrt(math.pi)
+        a = np.zeros((n + 1, n + 1))
+        a[:n, :n] = erf(u)
+        a[:n, n], a[n, :n] = 1.0, -1.0
+        assert densities.survival_pfaffian(1.0, x) == pytest.approx(
+            linalg.pfaffian(a), rel=1e-10)
+        # the complex-step gradient on the bordered stack, as it was taken
+        # before the fold: d_k A_kj = -G_kj, d_k A_ik = +G_ik
+        s = np.repeat(a[None].astype(complex), n, axis=0)
+        for k in range(n):
+            s[k, k, :n] -= 1j * h * g[k]
+            s[k, :n, k] += 1j * h * g[:, k]
+            s[k, k, k] = 0.0
+        pf = linalg.pfaffian(s)
+        ref = pf.imag / (h * pf.real)
+        # the middle component is 0 by symmetry: rounding, not a relative
+        # error, is all either side can give there
+        np.testing.assert_allclose(densities.survival_log_gradient(1.0, x),
+                                   ref, rtol=1e-9,
+                                   atol=1e-12 * np.abs(ref).max(initial=1.0))
+        if n == 3:
+            e = erf(densities._pairs(1.0, x)[2])   # u01, u02, u12
+            assert densities.survival_pfaffian(1.0, x) == (e[2] + e[0]) - e[1]
 
     def test_log_gradient_peak_memory(self):
         # the kernel eliminates in the complex-step stack itself: no
