@@ -23,9 +23,10 @@ class _UsageError(Exception):
 _ROWS = 64                     # rows of the table held as strings at once
 
 
-def _csv_lines(data, colmap=None):
-    """CSV text of a 2-D float array, every value as "%.17g", one string per
-    _ROWS rows, so that no more than those rows are held as Python objects.
+def _csv_lines(data, colmap=None, lead=""):
+    """CSV text of a 2-D float array, every value as "%.17g" and every row
+    starting with the text lead, one string per _ROWS rows, so that no more
+    than those rows are held as Python objects.
 
     colmap, when given, lists one (column of data, negate) pair per written
     column, as paths.matrix_path_csv_rows gives a Hermitian path's lower
@@ -36,14 +37,14 @@ def _csv_lines(data, colmap=None):
     "%.17g" of x for every other x (0 and -0, inf and -inf, subnormals
     alike)."""
     for i in range(0, data.shape[0], _ROWS):
-        yield _block_text(data[i:i + _ROWS], colmap)
+        yield _block_text(data[i:i + _ROWS], colmap, lead)
 
 
-def _block_text(block, colmap):
+def _block_text(block, colmap, lead):
     """_csv_lines' text of one block of rows; its strings die on return."""
     k, width = block.shape
     if colmap is None:
-        row = ",".join(["%.17g"] * width) + "\n"
+        row = lead + ",".join(["%.17g"] * width) + "\n"
         return (row * k) % tuple(block.ravel().tolist())
     # one "%" for the whole block, columns one after another
     text = ",".join(["%.17g"] * block.size) % tuple(block.T.ravel().tolist())
@@ -53,7 +54,7 @@ def _block_text(block, colmap):
     del strs
     cols = [[v[1:] if v[0] == "-" else "-" + v for v in sources[c]]
             if negate else sources[c] for c, negate in colmap]
-    return "\n".join([*map(",".join, zip(*cols)), ""])
+    return lead + ("\n" + lead).join(map(",".join, zip(*cols))) + "\n"
 
 
 def _parse_point(s):
@@ -160,40 +161,38 @@ def _configure(args, config):
     return cfg
 
 
-def _write_csv(path, header_cfg, columns, data, colmap=None):
+def _write_csv(path, header_cfg, columns, tables):
+    """Write the CSV file path: the configuration and its digest as "#"
+    lines, the column names, then the rows of each (rows, colmap) table that
+    tables yields, in turn, as _csv_lines writes them.  When the first column
+    is "rep", each table is one replicate and its rows start with its index
+    (str(r), which is "%.17g" of r).  A table is formatted as it arrives, so
+    a generator of them holds one at a time."""
+    indexed = columns[0] == "rep"
     with open(path, "w", newline="\n") as fh:
         fh.write("# config %s\n# digest %s\n" % (
             json.dumps(header_cfg, sort_keys=True), _digest(header_cfg)))
         fh.write(",".join(columns) + "\n")
-        fh.writelines(_csv_lines(data, colmap))
-
-
-def _rep_rows(reps, k, width):
-    """Empty (reps, k, width) CSV rows, plus the column the data starts at:
-    with several replicates, column 0 holds the replicate index."""
-    lead = 1 if reps > 1 else 0
-    data = np.empty((reps, k, lead + width))
-    if lead:
-        data[:, :, 0] = np.arange(reps)[:, None]
-    return data, lead
+        for r, (rows, colmap) in enumerate(tables):
+            fh.writelines(_csv_lines(rows, colmap,
+                                     "%d," % r if indexed else ""))
 
 
 def cmd_simulate(args, cfg):
     model, n, T, steps, reps, seed = (cfg[k] for k in (
         "model", "n", "horizon", "steps", "reps", "seed"))
     out = args.out or f"{model}.csv"
+    columns = (["rep"] if reps > 1 else []) + ["time"]
 
     if model in ("dyson", "noncolliding"):
         sde_cfg = sde.SDEConfig(n=n, horizon=T, dt=T / steps)
         sim = (sde.simulate_dyson if model == "dyson"
                else sde.simulate_noncolliding)
         res = sim(sde_cfg, T, seed=seed, reps=reps)
-        columns = (["rep"] if reps > 1 else []) + ["time"] \
-            + [f"x{i+1}" for i in range(n)]
-        data, lead = _rep_rows(reps, res.times.size, 1 + n)
-        data[:, :, lead] = res.times
-        data[:, :, lead + 1:] = res.states
-        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]))
+        columns += [f"x{i+1}" for i in range(n)]
+        _write_csv(out, cfg, columns,
+                   ((np.column_stack([res.times, res.states[r]]), None)
+                    for r in range(reps)))
         inc = np.diff(res.states[:, 1:, :], axis=1)
         print("summary: replicates=%d failed=%d increment_var=%.6g "
               "(expected ~ dt=%.6g)"
@@ -201,19 +200,13 @@ def cmd_simulate(args, cfg):
                  float(inc.var()) if inc.size else float("nan"), T / steps))
     else:
         grid = paths.TimeGrid.uniform(T, steps)
-        for r in range(reps):
-            sources, colmap = paths.matrix_path_csv_rows(
-                paths.build_matrix_process(model, n, grid, substream(seed, r)))
-            if r == 0:
-                data, lead = _rep_rows(reps, steps + 1, sources.shape[1])
-            data[r, :, lead:] = sources
-        columns = (["rep"] if reps > 1 else []) + ["time"]
         for i in range(n):
             for j in range(n):
                 columns += [f"re{i+1}{j+1}", f"im{i+1}{j+1}"]
-        colmap = [(0, False)] * lead + [(lead + c, neg) for c, neg in colmap]
-        _write_csv(out, cfg, columns, data.reshape(-1, data.shape[-1]),
-                   colmap)
+        # each path is built as the writer reaches it, and dies once written
+        _write_csv(out, cfg, columns, (paths.matrix_path_csv_rows(
+            paths.build_matrix_process(model, n, grid, substream(seed, r)))
+            for r in range(reps)))
         print("summary: replicates=%d grid_points=%d" % (reps, steps + 1))
     return 0
 
@@ -252,7 +245,7 @@ def cmd_density(args, cfg):
         columns.append("se")
     data = np.array(rows, dtype=float)
     if args.out:
-        _write_csv(args.out, cfg, columns, data)
+        _write_csv(args.out, cfg, columns, [(data, None)])
     print("".join(_csv_lines(data)), end="")
     return 0
 

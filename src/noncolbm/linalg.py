@@ -166,8 +166,14 @@ def _pfaffian_batch(a):
         # a zero pivot column means Pf = 0; dividing by 1 keeps the rest of
         # that matrix finite
         tau = a[k, k + 2:] / np.where(piv == 0.0, 1.0, piv)
+        # one outer product d_ij = tau_i col_j gives both rank-one terms,
+        # col_i tau_j being d_ji (bitwise so for real stacks).  d is freed
+        # before the next step allocates: held over, it grows the heap,
+        # which glibc then trims and faults back in on every call
         col = a[k + 2:, k + 1]
-        a[k + 2:, k + 2:] += tau[:, None] * col[None, :]
-        a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
+        d = tau[:, None] * col[None, :]
+        a[k + 2:, k + 2:] += d
+        a[k + 2:, k + 2:] -= d.swapaxes(0, 1)
+        del d
     pf *= _pfaffian_batch(a[n - 4:, n - 4:])
     return pf.reshape(shape)

@@ -110,7 +110,7 @@ class TestSimulate:
                 1.0 / 3.0, 2.0 ** 52 + 1]
         data = np.array([[r] + vals[r:] + vals[:r] for r in range(600)])
         out = tmp_path / "w.csv"
-        cli._write_csv(str(out), {}, ["c"] * data.shape[1], data)
+        cli._write_csv(str(out), {}, ["c"] * data.shape[1], [(data, None)])
         body = out.read_text().splitlines(keepends=True)[3:]
         expected = [",".join("%.17g" % float(v) for v in row) + "\n"
                     for row in data]
@@ -129,7 +129,8 @@ class TestSimulate:
         sources = np.column_stack([rows / 3.0, a, b])
         data = np.column_stack([rows / 3.0, a, b, a, -a])
         out = tmp_path / "w.csv"
-        cli._write_csv(str(out), {}, ["c"] * data.shape[1], sources, colmap)
+        cli._write_csv(str(out), {}, ["c"] * data.shape[1],
+                       [(sources, colmap)])
         body = out.read_text().splitlines(keepends=True)[3:]
         assert body == per_value_lines(data)
         assert body[7].split(",")[2] == "nan"
@@ -206,6 +207,24 @@ class TestSimulate:
             bodies[reps] = out.read_text().splitlines()[3:]
         assert len(bodies[2]) == 2 * 9 and len(bodies[5]) == 5 * 9
         assert bodies[5][:2 * 9] == bodies[2]
+
+    def test_peak_memory_flat_in_rep_count(self, tmp_path, capsys):
+        # replicates are written as they are sampled: twelve replicates peak
+        # less than one replicate's table above two
+        argv = ["simulate", "--model", "xit", "--n", "4", "--steps", "2048",
+                "--seed", "3", "--out", str(tmp_path / "x.csv")]
+        assert run(argv + ["--reps", "2"]) == 0   # once-only state first
+        peaks = {}
+        for reps in (2, 12):
+            tracemalloc.start()
+            try:
+                assert run(argv + ["--reps", str(reps)]) == 0
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        table, _ = paths.matrix_path_csv_rows(paths.build_matrix_process(
+            "xit", 4, paths.TimeGrid.uniform(1.0, 2048), substream(3)))
+        assert abs(peaks[12] - peaks[2]) < table.nbytes
 
     def test_main_leaves_no_cyclic_garbage(self, tmp_path):
         # a parser built per call was some 200 objects of cyclic garbage,
@@ -332,6 +351,22 @@ class TestDensity:
         with pytest.raises(SystemExit):
             run(["density", "--name", "gue", "--n", "2", "--t", "1",
                  "--x", "0,1"])
+
+    @pytest.mark.parametrize("argv,rows,last", [
+        (["--name", "survival", "--t", "1.0", "--x", "0,2"], 1, "value"),
+        (["--name", "f", "--t", "0.5", "--x", "0,1;0,2", "--y", "0,1;-1,3"],
+         4, "value"),
+        (["--name", "survival", "--method", "montecarlo", "--t", "1.0",
+          "--x", "0,2;0,3"], 2, "se"),
+    ], ids=["one-point", "several-points", "montecarlo-se"])
+    def test_out_file_body_is_stdout_rows(self, tmp_path, capsys, argv,
+                                          rows, last):
+        out = tmp_path / "d.csv"
+        assert run(["density", *argv, "--seed", "5", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines(keepends=True)[1:]
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines[2].rstrip("\n").split(",")[-1] == last
+        assert len(printed) == rows and lines[3:] == printed
 
     def test_header_echoes_only_options_density_takes(self, tmp_path):
         out = tmp_path / "d.csv"
