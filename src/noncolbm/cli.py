@@ -57,12 +57,9 @@ def _block_text(block, colmap, lead):
     return lead + ("\n" + lead).join(map(",".join, zip(*cols))) + "\n"
 
 
-def _parse_point(s):
-    return np.array([float(v) for v in s.split(",")])
-
-
 def _parse_points(s):
-    return [_parse_point(p) for p in s.split(";") if p.strip()]
+    return [np.array([float(v) for v in p.split(",")])
+            for p in s.split(";") if p.strip()]
 
 
 def _density_points(name, args):
@@ -118,39 +115,29 @@ def _digest(cfg):
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# Each command's subject flag and its options: name -> (built-in default,
-# least value).  A value takes its default's type; a least refuses a value
-# not positive and finite (linalg.check_time) or below it, None nothing.
-_COMMANDS = {
-    "simulate": ("model", {"n": (2, 0), "horizon": (1.0, 0),
-                           "steps": (256, 0), "reps": (1, 0)}),
-    "density": ("name", {"t": (1.0, None), "s": (0.0, None),
-                         "horizon": (1.0, None),
-                         "method": ("pfaffian", None)}),
-    "verify": ("suite", {"n": (2, 0), "horizon": (1.0, 0),
-                         "reps": (10_000, 2), "samples": (100_000, 2)}),
-}
-
-
 def _configure(args, config):
     """The effective configuration of args.command: its subject, every
-    option, each checked against its least value once all are resolved, and
-    the seed (flag, config, NONCOLBM_SEED, fresh entropy).  Prints the seed
-    and the configuration's digest."""
-    subject, options = _COMMANDS[args.command]
+    option, each checked against its bound (see _COMMANDS) once all are
+    resolved, and the seed (flag, config, NONCOLBM_SEED, fresh entropy).
+    Prints the seed and the configuration's digest."""
+    _, subject, _, options = _COMMANDS[args.command]
+    subject = subject.lstrip("-")
     cfg = {"command": args.command, subject: getattr(args, subject)}
     for key, (default, _) in options.items():
         cfg[key] = _effective(args, config, key, default, type(default))
-    for key, (_, least) in options.items():
+    for key, (_, bound) in options.items():
         val = cfg[key]
-        try:
-            if least is not None:
+        if isinstance(bound, tuple) and val not in bound:
+            raise _UsageError("--%s must be one of %s, got %r"
+                              % (key, ", ".join(bound), val))
+        if isinstance(bound, int):
+            try:
                 linalg.check_time(val, name="--" + key)
-        except ValueError as exc:
-            raise _UsageError(exc) from exc
-        if least and val < least:
-            raise _UsageError("--%s must be at least %d, got %r"
-                              % (key, least, val))
+            except ValueError as exc:
+                raise _UsageError(exc) from exc
+            if val < bound:
+                raise _UsageError("--%s must be at least %d, got %r"
+                                  % (key, bound, val))
     seed = _effective(args, config, "seed", None, int)
     if seed is None:
         seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)
@@ -178,26 +165,40 @@ def _write_csv(path, header_cfg, columns, tables):
                                      "%d," % r if indexed else ""))
 
 
+def _increment_var(states):
+    """np.diff(states[:, 1:], axis=1).var() (NaN with no increments), one
+    replicate's increments at a time in one buffer, about their mean, which
+    telescopes to the paths' ends."""
+    count = states[:, 2:].size
+    mean = (states[:, -1].sum() - states[:, 1].sum()) / max(count, 1)
+    squares, d = 0.0, None
+    for x in states:
+        d = np.subtract(x[2:], x[1:-1], out=d)
+        d -= mean
+        squares += np.vdot(d, d)
+    return float(squares / count) if count else float("nan")
+
+
+_SDE_MODELS = {"dyson": sde.simulate_dyson,
+               "noncolliding": sde.simulate_noncolliding}
+
+
 def cmd_simulate(args, cfg):
     model, n, T, steps, reps, seed = (cfg[k] for k in (
         "model", "n", "horizon", "steps", "reps", "seed"))
     out = args.out or f"{model}.csv"
     columns = (["rep"] if reps > 1 else []) + ["time"]
 
-    if model in ("dyson", "noncolliding"):
-        sde_cfg = sde.SDEConfig(n=n, horizon=T, dt=T / steps)
-        sim = (sde.simulate_dyson if model == "dyson"
-               else sde.simulate_noncolliding)
-        res = sim(sde_cfg, T, seed=seed, reps=reps)
+    if model in _SDE_MODELS:
+        res = _SDE_MODELS[model](sde.SDEConfig(n=n, horizon=T, dt=T / steps),
+                                 T, seed=seed, reps=reps)
         columns += [f"x{i+1}" for i in range(n)]
         _write_csv(out, cfg, columns,
                    ((np.column_stack([res.times, res.states[r]]), None)
                     for r in range(reps)))
-        inc = np.diff(res.states[:, 1:, :], axis=1)
         print("summary: replicates=%d failed=%d increment_var=%.6g "
-              "(expected ~ dt=%.6g)"
-              % (reps, int(res.failed.sum()),
-                 float(inc.var()) if inc.size else float("nan"), T / steps))
+              "(expected ~ dt=%.6g)" % (reps, int(res.failed.sum()),
+                                        _increment_var(res.states), T / steps))
     else:
         grid = paths.TimeGrid.uniform(T, steps)
         for i in range(n):
@@ -250,21 +251,22 @@ def cmd_density(args, cfg):
     return 0
 
 
-def cmd_verify(args, cfg):
-    suite, n, T, reps, samples, seed = (cfg[k] for k in (
-        "suite", "n", "horizon", "reps", "samples", "seed"))
+_SDE_SIZES = {"n": "n", "horizon": "horizon", "reps": "reps"}
+# each suite's function, and its size keywords -> the options that give them
+_SUITES = {"hc": (verify.hc_suite, {"samples": "samples"}),
+           "imhof": (verify.imhof_suite, _SDE_SIZES),
+           "marginals": (verify.marginals_suite, _SDE_SIZES),
+           "densities": (verify.densities_suite, {"mc_samples": "samples"})}
 
-    if suite == "marginals" and n > verify.MARGINALS_MAX_N:
-        raise _UsageError("--n must be at most %d for the marginals suite, "
-                          "got %d" % (verify.MARGINALS_MAX_N, n))
-    sde_sizes = {"n": n, "horizon": T, "reps": reps}
-    suite_fn, sizes = {
-        "hc": (verify.hc_suite, {"samples": samples}),
-        "imhof": (verify.imhof_suite, sde_sizes),
-        "marginals": (verify.marginals_suite, sde_sizes),
-        "densities": (verify.densities_suite, {"mc_samples": samples}),
-    }[suite]
-    report = verify.run_suite_with_retry(suite_fn, seed, **sizes)
+
+def cmd_verify(args, cfg):
+    suite_fn, sizes = _SUITES[cfg["suite"]]
+    if (suite_fn is verify.marginals_suite
+            and cfg["n"] > verify.MARGINALS_MAX_N):
+        raise _UsageError("--n must be at most %d for the %s suite, got %d"
+                          % (verify.MARGINALS_MAX_N, cfg["suite"], cfg["n"]))
+    report = verify.run_suite_with_retry(
+        suite_fn, cfg["seed"], **{k: cfg[v] for k, v in sizes.items()})
     report["schema_version"] = 1
     report["config"] = cfg
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -279,53 +281,49 @@ def cmd_verify(args, cfg):
     return 0
 
 
+# Each command, run by cmd_<command>: its help, its subject (a required
+# flag, or a positional) with the subject's choices, and its options: name ->
+# (built-in default, bound), a value taking its default's type.  A bound is a
+# tuple of the values taken, an int least (check_time, then >= it) or None.
+_COMMANDS = {
+    "simulate": ("sample particle or matrix paths", "--model",
+                 (*_SDE_MODELS, "gue", "goe", "xit"),
+                 {"n": (2, 0), "horizon": (1.0, 0), "steps": (256, 0),
+                  "reps": (1, 0)}),
+    "density": ("evaluate a named density", "--name",
+                ("f", "survival", "p", "g", "gue", "goe"),
+                {"t": (1.0, None), "s": (0.0, None), "horizon": (1.0, None),
+                 "method": ("pfaffian",
+                            ("pfaffian", "quadrature", "montecarlo"))}),
+    "verify": ("run a statistical suite", "suite", tuple(_SUITES),
+               {"n": (2, 0), "horizon": (1.0, 0), "reps": (10_000, 2),
+                "samples": (100_000, 2)}),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, and a parser per call is cyclic garbage that lives until the
-    collector next runs."""
+    """The argument parser, built once per process from _COMMANDS:
+    parse_args leaves it unchanged, and a parser per call is cyclic garbage
+    that lives until the collector next runs."""
     p = argparse.ArgumentParser(
         prog="noncolbm", allow_abbrev=False,
         description="Noncolliding Brownian motion simulators, densities, "
                     "and statistical verification suites.")
     p.add_argument("--config", help="flat key=value configuration file")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-
-    ps = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
-                        help="sample particle or matrix paths")
-    ps.add_argument("--model", required=True,
-                    choices=["dyson", "noncolliding", "gue", "goe", "xit"])
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--horizon", type=float)
-    ps.add_argument("--steps", type=int)
-    ps.add_argument("--reps", type=int)
-    ps.set_defaults(func=cmd_simulate)
-
-    pd = sub.add_parser("density", parents=[common], allow_abbrev=False,
-                        help="evaluate a named density")
-    pd.add_argument("--name", required=True,
-                    choices=["f", "survival", "p", "g", "gue", "goe"])
-    pd.add_argument("--t", type=float)
-    pd.add_argument("--s", type=float)
-    pd.add_argument("--horizon", type=float)
-    pd.add_argument("--method", choices=["pfaffian", "quadrature",
-                                         "montecarlo"])
-    pd.add_argument("--x", help="point(s), e.g. '0,2' or '0,2;0,3'")
-    pd.add_argument("--y", help="point(s) for transition densities")
-    pd.set_defaults(func=cmd_density)
-
-    pv = sub.add_parser("verify", parents=[common], allow_abbrev=False,
-                        help="run a statistical suite")
-    pv.add_argument("suite",
-                    choices=["hc", "imhof", "marginals", "densities"])
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--horizon", type=float)
-    pv.add_argument("--reps", type=int)
-    pv.add_argument("--samples", type=int)
-    pv.set_defaults(func=cmd_verify)
+    for command, (help_, subject, choices, options) in _COMMANDS.items():
+        ps = sub.add_parser(command, allow_abbrev=False, help=help_)
+        ps.add_argument("--seed", type=int)
+        ps.add_argument("--out")
+        ps.add_argument(subject, choices=choices,
+                        **({"required": True} if subject[0] == "-" else {}))
+        for key, (default, bound) in options.items():
+            ps.add_argument("--" + key, type=type(default), choices=(
+                bound if isinstance(bound, tuple) else None))
+        if command == "density":
+            ps.add_argument("--x", help="point(s), e.g. '0,2' or '0,2;0,3'")
+            ps.add_argument("--y", help="point(s) for transition densities")
     return p
 
 
@@ -333,7 +331,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return args.func(args, _configure(args, config))
+        # looked up when called, so that a wrapper set on cmd_* is the one run
+        return globals()["cmd_" + args.command](args, _configure(args, config))
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -378,7 +378,8 @@ def h_transform_density(s, x, t, y):
     """Transition density of Brownian particles conditioned never to collide.
 
     Start at the origin with (s, x) = (0, None); otherwise x must be strictly
-    ordered.  y may be a batch (..., N)."""
+    ordered, and ValueError when its Vandermonde product is not positive, as
+    it underflows to 0 for gaps of 1e-200.  y may be a batch (..., N)."""
     if not t > s:
         raise ValueError("need t > s")
     y = np.asarray(y, dtype=float)
@@ -388,6 +389,8 @@ def h_transform_density(s, x, t, y):
         return eigenvalue_density("gue", y, t)
     x = linalg.weyl_vector(x)
     hx = linalg.vandermonde(x)
+    if not hx > 0:
+        raise ValueError("Vandermonde product of x is %r, not positive" % hx)
     val = transition_density(t - s, x, y) * linalg.vandermonde(y) / hx
     return val if y.ndim > 1 else float(val)
 

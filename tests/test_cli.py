@@ -275,6 +275,45 @@ class TestSimulate:
         se = math.sqrt(2.0) * v / math.sqrt(m)
         assert abs(im.var() - v) <= 3 * se
 
+    @pytest.mark.parametrize("model,steps", [
+        ("dyson", 64), ("noncolliding", 64), ("dyson", 1)])
+    def test_sde_summary_is_the_full_increment_var(self, tmp_path, capsys,
+                                                    model, steps):
+        # the summary's increment variance is the one np.diff of all the
+        # states gives, and so is its printed line (nan with no increments)
+        assert run(["simulate", "--model", model, "--n", "3", "--steps",
+                    str(steps), "--reps", "5", "--seed", "8",
+                    "--out", str(tmp_path / "o.csv")]) == 0
+        sim = {"dyson": sde.simulate_dyson,
+               "noncolliding": sde.simulate_noncolliding}[model]
+        res = sim(sde.SDEConfig(n=3, horizon=1.0, dt=1.0 / steps), 1.0,
+                  seed=8, reps=5)
+        inc = np.diff(res.states[:, 1:, :], axis=1)
+        full = float(inc.var()) if inc.size else float("nan")
+        got = cli._increment_var(res.states)
+        assert got == pytest.approx(full, rel=1e-12, nan_ok=True)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "summary: replicates=5 failed=%d increment_var=%.6g "
+            "(expected ~ dt=%.6g)" % (int(res.failed.sum()), full,
+                                      1.0 / steps))
+
+    def test_sde_summary_peak_memory(self):
+        # one replicate's increments at a time: the summary adds less than
+        # one replicate's written table above the states; np.diff of all
+        # the states, and its var, added two arrays their size
+        reps, steps, n = 40, 512, 3
+        states = np.cumsum(np.random.default_rng(2).normal(
+            size=(reps, steps + 1, n)), axis=1)
+        cli._increment_var(states)           # once-only state first
+        tracemalloc.start()
+        try:
+            cli._increment_var(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = np.column_stack([np.arange(steps + 1.0), states[0]])
+        assert peak < table.nbytes
+
 
 class TestDensity:
     def test_f_matches_library(self, capsys):
@@ -339,10 +378,13 @@ class TestDensity:
          "--x", "0,0.0001,0.0002,0.0003", "--y=-1,0,0.5,1"],
         ["--name", "gue", "--t", "30",
          "--x", ",".join(str(i) for i in range(28))],
-    ], ids=["g-cancelled-survival", "gue-28-points-overflow"])
+        ["--name", "p", "--t", "1", "--x=0,1e-200,2e-200", "--y=-1,0,1"],
+    ], ids=["g-cancelled-survival", "gue-28-points-overflow",
+            "p-underflowing-start"])
     def test_unrepresentable_value_exits_two(self, capsys, argv):
-        # a survival factor that cancels to 0 and a normalization constant
-        # that overflows are refused, not printed as inf or a traceback
+        # a survival factor that cancels to 0, a normalization constant
+        # that overflows and a Vandermonde product of x that underflows to 0
+        # are refused, not printed as inf, nan or a traceback
         assert run(["density", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -550,3 +592,106 @@ class TestConfigPrecedence:
             run(["simulate", "--model", "dyson", "--n", "2", "--steps",
                  "16", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def subject_argv(command):
+    """command and its subject at the subject's first choice."""
+    _, subject, choices, _ = cli._COMMANDS[command]
+    flag = [subject] if subject.startswith("--") else []
+    return [command, *flag, choices[0]]
+
+
+OPTIONS = [(command, key) for command, (*_, options) in cli._COMMANDS.items()
+           for key in options]
+NUMERIC = [(command, key) for command, key in OPTIONS
+           if not isinstance(cli._COMMANDS[command][3][key][0], str)]
+BOUNDED = [(command, key) for command, key in OPTIONS
+           if cli._COMMANDS[command][3][key][1] is not None]
+
+
+def bad_value(command, key):
+    """A value of the option's type outside its choices or below its
+    least."""
+    bound = cli._COMMANDS[command][3][key][1]
+    return "bogus" if isinstance(bound, tuple) else str(bound - 1)
+
+
+class TestCommandTable:
+    """Every option of cli._COMMANDS is a flag of its command with the
+    table's type and choices, and is refused out of its bound alike as a
+    flag and as a config key; a flag declared in one place only fails."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_parser_declares_the_table(self, command):
+        _, subject, _, options = cli._COMMANDS[command]
+        ns = cli.build_parser().parse_args(subject_argv(command))
+        extra = {"x", "y"} if command == "density" else set()
+        assert set(vars(ns)) == {"config", "command", "seed", "out",
+                                 subject.lstrip("-"), *options, *extra}
+        assert all(getattr(ns, key) is None for key in options)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_subject_takes_only_its_choices(self, capsys, command):
+        _, subject, choices, _ = cli._COMMANDS[command]
+        argv = subject_argv(command)
+        for choice in choices:
+            ns = cli.build_parser().parse_args(argv[:-1] + [choice])
+            assert getattr(ns, subject.lstrip("-")) == choice
+        with pytest.raises(SystemExit) as exc:
+            run(argv[:-1] + ["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", OPTIONS)
+    def test_flag_takes_the_table_type_and_choices(self, capsys, command,
+                                                   key):
+        default, bound = cli._COMMANDS[command][3][key]
+        argv = subject_argv(command) + ["--" + key]
+        for value in bound if isinstance(bound, tuple) else [default]:
+            got = getattr(cli.build_parser().parse_args(argv + [str(value)]),
+                          key)
+            assert type(got) is type(default) and got == value
+        if not isinstance(default, str):
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["two"])
+            assert exc.value.code == 2
+            assert "error: argument --%s: invalid" % key in (
+                capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", NUMERIC)
+    def test_config_value_of_wrong_type_refused(self, tmp_path, capsys,
+                                                command, key):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("%s = two\n" % key)
+        out = tmp_path / "o"
+        assert run(["--config", str(cfgfile), *subject_argv(command),
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: %s = 'two'" % key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", BOUNDED)
+    def test_bad_flag_value_refused(self, tmp_path, capsys, command, key):
+        out = tmp_path / "o"
+        argv = [*subject_argv(command), "--" + key, bad_value(command, key),
+                "--seed", "1", "--out", str(out)]
+        if isinstance(cli._COMMANDS[command][3][key][1], tuple):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert "error: argument --%s: invalid choice" % key in err
+        else:
+            assert run(argv) == 2
+            assert capsys.readouterr().err.startswith("error: --" + key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", BOUNDED)
+    def test_bad_config_value_refused(self, tmp_path, capsys, command, key):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("%s = %s\n" % (key, bad_value(command, key)))
+        out = tmp_path / "o"
+        assert run(["--config", str(cfgfile), *subject_argv(command),
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --" + key)
+        assert not out.exists()

@@ -517,6 +517,14 @@ class TestHTransformDensity:
         rhs = densities.h_transform_density(0, None, t, y)
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
+    def test_refuses_an_underflowing_start(self):
+        # the gaps of x multiply to 2e-600, which underflows to 0.0: the
+        # density was nan, with a RuntimeWarning, and is refused instead
+        x = [0.0, 1e-200, 2e-200]
+        assert linalg.vandermonde(x) == 0.0
+        with pytest.raises(ValueError, match="not positive"):
+            densities.h_transform_density(0, x, 1.0, [-1.0, 0.0, 1.0])
+
 
 class TestFiniteHorizonDensity:
     def test_matches_goe_at_horizon(self):
