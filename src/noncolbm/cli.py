@@ -23,10 +23,11 @@ class _UsageError(Exception):
 _ROWS = 64                     # rows of the table held as strings at once
 
 
-def _csv_lines(data, colmap=None, lead=""):
-    """CSV text of a 2-D float array, every value as "%.17g" and every row
-    starting with the text lead, one string per _ROWS rows, so that no more
-    than those rows are held as Python objects.
+def _csv_lines(data, colmap=None, leads=None):
+    """CSV text of a 2-D float array, every value as "%.17g", one string per
+    _ROWS rows, so that no more than those rows are held as Python objects.
+    leads, when given, holds one text per row of data, written as the row's
+    first fields; a lead holds no "%".
 
     colmap, when given, lists one (column of data, negate) pair per written
     column, as paths.matrix_path_csv_rows gives a Hermitian path's lower
@@ -35,26 +36,33 @@ def _csv_lines(data, colmap=None, lead=""):
     leading "-".  That is exact when data holds no NaN, as a matrix path
     (finite normals times finite scales) does not: "%.17g" of -x is "-" +
     "%.17g" of x for every other x (0 and -0, inf and -inf, subnormals
-    alike)."""
+    alike).  A column of None is written "0", the text of 0.0."""
     for i in range(0, data.shape[0], _ROWS):
-        yield _block_text(data[i:i + _ROWS], colmap, lead)
+        yield _block_text(data[i:i + _ROWS], colmap,
+                          None if leads is None else leads[i:i + _ROWS])
 
 
-def _block_text(block, colmap, lead):
+def _block_text(block, colmap, leads):
     """_csv_lines' text of one block of rows; its strings die on return."""
     k, width = block.shape
     if colmap is None:
-        row = lead + ",".join(["%.17g"] * width) + "\n"
-        return (row * k) % tuple(block.ravel().tolist())
+        row = ",".join(["%.17g"] * width) + "\n"
+        text = row * k if leads is None else \
+            "".join([lead + "," + row for lead in leads])
+        return text % tuple(block.ravel().tolist())
     # one "%" for the whole block, columns one after another
     text = ",".join(["%.17g"] * block.size) % tuple(block.T.ravel().tolist())
     strs = text.split(",")
     del text
     sources = [strs[c * k:(c + 1) * k] for c in range(width)]
     del strs
-    cols = [[v[1:] if v[0] == "-" else "-" + v for v in sources[c]]
+    zero = ["0"] * k
+    cols = [zero if c is None else
+            [v[1:] if v[0] == "-" else "-" + v for v in sources[c]]
             if negate else sources[c] for c, negate in colmap]
-    return lead + ("\n" + lead).join(map(",".join, zip(*cols))) + "\n"
+    if leads is not None:
+        cols.insert(0, leads)
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def _parse_points(s):
@@ -92,6 +100,13 @@ def _load_config(path):
                 raise _UsageError("%s line %d: expected key = value, got %r"
                                   % (path, number, line))
             cfg[key.strip()] = val.strip()
+    # a key that another command takes is ignored; one that none takes is
+    # most likely misspelt, and would silently run on the default
+    known = {"seed"}.union(*(options for *_, options in _COMMANDS.values()))
+    for key in cfg:
+        if key not in known:
+            raise _UsageError("%s: key %r is not an option of any command"
+                              % (path, key))
     return cfg
 
 
@@ -148,21 +163,27 @@ def _configure(args, config):
     return cfg
 
 
-def _write_csv(path, header_cfg, columns, tables):
+def _write_csv(path, header_cfg, columns, tables, times=None):
     """Write the CSV file path: the configuration and its digest as "#"
     lines, the column names, then the rows of each (rows, colmap) table that
     tables yields, in turn, as _csv_lines writes them.  When the first column
     is "rep", each table is one replicate and its rows start with its index
-    (str(r), which is "%.17g" of r).  A table is formatted as it arrives, so
-    a generator of them holds one at a time."""
+    (str(r), which is "%.17g" of r).  times, when given, is the next column
+    of every table, one value per row, formatted once for all of them.  A
+    table is formatted as it arrives, so a generator of them holds one at a
+    time."""
     indexed = columns[0] == "rep"
+    text = None if times is None else ["%.17g" % t for t in times.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("# config %s\n# digest %s\n" % (
             json.dumps(header_cfg, sort_keys=True), _digest(header_cfg)))
         fh.write(",".join(columns) + "\n")
         for r, (rows, colmap) in enumerate(tables):
-            fh.writelines(_csv_lines(rows, colmap,
-                                     "%d," % r if indexed else ""))
+            leads = text
+            if indexed:
+                leads = (["%d" % r] * rows.shape[0] if text is None
+                         else ["%d,%s" % (r, t) for t in text])
+            fh.writelines(_csv_lines(rows, colmap, leads))
 
 
 def _increment_var(states):
@@ -194,8 +215,7 @@ def cmd_simulate(args, cfg):
                                  T, seed=seed, reps=reps)
         columns += [f"x{i+1}" for i in range(n)]
         _write_csv(out, cfg, columns,
-                   ((np.column_stack([res.times, res.states[r]]), None)
-                    for r in range(reps)))
+                   ((res.states[r], None) for r in range(reps)), res.times)
         print("summary: replicates=%d failed=%d increment_var=%.6g "
               "(expected ~ dt=%.6g)" % (reps, int(res.failed.sum()),
                                         _increment_var(res.states), T / steps))
@@ -207,7 +227,7 @@ def cmd_simulate(args, cfg):
         # each path is built as the writer reaches it, and dies once written
         _write_csv(out, cfg, columns, (paths.matrix_path_csv_rows(
             paths.build_matrix_process(model, n, grid, substream(seed, r)))
-            for r in range(reps)))
+            for r in range(reps)), grid.times)
         print("summary: replicates=%d grid_points=%d" % (reps, steps + 1))
     return 0
 

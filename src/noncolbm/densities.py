@@ -1,6 +1,13 @@
 """Closed-form transition densities for ordered Brownian particles and the
 Gaussian matrix ensembles, plus the no-collision survival probability with
 three independent evaluation strategies (Pfaffian, quadrature, Monte Carlo).
+
+Batches of points (..., N) are pair-first inside: the kernels work on the
+rows of linalg.pair_gaps, (N(N-1)/2, ...), and of the coordinate-first
+view of the points, and never move an axis back.  No matrix is built below
+order 6 (N <= 5).  survival_log_gradient is NaN where the Pfaffian cancels
+to <= 0, so that the SDE flags those points; one that cancels to a
+positive but wrong value is not caught.
 """
 
 import functools
@@ -72,34 +79,39 @@ def transition_density(t, x, y):
     return np.linalg.det(kernel)
 
 
-def _pairs(t, xs):
-    """Index pairs i < j of a batch xs (..., N) and the scaled gaps
-    u_ij = (x_j - x_i) / (2 sqrt t) at those pairs, shape (..., N(N-1)/2)."""
-    return (*linalg.pair_index(xs.shape[-1]),
-            linalg.pair_gaps(xs) / (2.0 * math.sqrt(t)))
+def _fold(v, n):
+    """Pair values, pair axis first, of an antisymmetric matrix of order
+    m = N - N % 2 whose Pfaffian is that of the pair values v (N(N-1)/2,
+    ...) of N points (pair_index order, batch axes last): v itself at even
+    N; at odd N the folded values, written over the last m(m-1)/2 rows of v
+    and returned as a view of them.
 
-
-def _pair_matrix(v, n, out=None):
-    """Antisymmetric matrix of the values v (N(N-1)/2, ...) at the pairs
-    i < j of N points (pair_index order), batch axes last: shape
-    (m, m, ...), m = N - N % 2, the layout of linalg._pfaffian_batch.  v is
-    overwritten.  out, if given, is a zero array of that shape to fill.
-
-    Even N: A_ij = v_ij.  Odd N: the de Bruijn matrix of v, bordered by a
-    row and column of ones, has its first elimination step taken in closed
-    form.  Subtracting row and column 0 from rows and columns 1..N-1 is a
-    congruence of determinant 1, after which the border's only entry is the
-    1 in row 0; so Pf of the bordered matrix is Pf of A'_ij = (v_ij + v_0i)
-    - v_0j, 1 <= i < j <= N-1, a matrix of order N - 1 with no border.
+    Odd N: the de Bruijn matrix of v, bordered by a row and column of ones,
+    has its first elimination step taken in closed form.  Subtracting row
+    and column 0 from rows and columns 1..N-1 is a congruence of determinant
+    1, after which the border's only entry is the 1 in row 0; so Pf of the
+    bordered matrix is Pf of A'_ij = (v_ij + v_0i) - v_0j, 1 <= i < j <=
+    N-1, a matrix of order N - 1 with no border.
     """
     m = n - n % 2
-    iu, ju = linalg.pair_index(m)
     if m < n:
         # the pairs (0, j) come first, then those of 1..N-1
+        iu, ju = linalg.pair_index(m)
         w = v[m:]
         w += v[iu]
         w -= v[ju]
         v = w
+    return v
+
+
+def _pair_matrix(v, n, out=None):
+    """Antisymmetric matrix of the pair values v (N(N-1)/2, ...) of N points
+    folded by _fold, batch axes last: shape (m, m, ...), m = N - N % 2, the
+    layout of linalg._pfaffian_batch.  v is overwritten.  out, if given, is
+    a zero array of that shape to fill."""
+    v = _fold(v, n)
+    m = n - n % 2
+    iu, ju = linalg.pair_index(m)
     a = np.zeros((m, m) + v.shape[1:], dtype=v.dtype) if out is None else out
     a[iu, ju] = v
     # negated in place, as a product with -1.0: numpy's np.negative is not
@@ -109,25 +121,29 @@ def _pair_matrix(v, n, out=None):
     return a
 
 
-def _erf_matrix(u, n):
-    """Antisymmetric matrix erf(u_ij) of the scaled gaps u (..., N(N-1)/2)
-    of a batch of N points (see _pairs), batch axes last, of order N - N % 2
-    (see _pair_matrix): its Pfaffian is the survival probability, for odd N
-    with no bordered matrix (erf at infinity is the border's 1)."""
-    return _pair_matrix(np.moveaxis(erf(u), -1, 0), n)
+def _folded_pfaffian(v, n):
+    """Pfaffian of the pair values v (N(N-1)/2, ...) of N points, batch axes
+    last, folded at odd N (see _fold); v is overwritten.  Orders up to 4
+    (N <= 5) are read off the folded pair values by linalg._pair_pfaffian,
+    with no matrix; larger ones eliminate in _pair_matrix's stack."""
+    if n <= 5:
+        return linalg._pair_pfaffian(_fold(v, n))
+    return linalg._pfaffian_batch(_pair_matrix(v, n))
 
 
 def survival_pfaffian(t, x):
     """No-collision probability via the Pfaffian of the erf-entry matrix.
 
-    Odd N evaluates a Pfaffian of order N - 1, the border's pivot step
-    taken in closed form (see _pair_matrix).  Vectorized over a batch of
-    start vectors (..., N).  t == 0 returns 1 for strict input.
+    The erf values of the pair gaps, pair axis first, go to _folded_pfaffian:
+    odd N evaluates a Pfaffian of order N - 1, the border's pivot step taken
+    in closed form (erf at infinity is the border's 1), and no matrix is
+    built below order 6.  Vectorized over a batch of start vectors (..., N).
+    t == 0 returns 1 for strict input.
     """
     xs = np.asarray(x, dtype=float)
     linalg.check_time(t, zero_ok=True)
-    pf = (np.ones(xs.shape[:-1]) if t == 0 else linalg._pfaffian_batch(
-        _erf_matrix(_pairs(t, xs)[2], xs.shape[-1])))
+    pf = (np.ones(xs.shape[:-1]) if t == 0 else _folded_pfaffian(
+        erf(linalg.pair_gaps(xs) / (2.0 * math.sqrt(t))), xs.shape[-1]))
     return pf if xs.ndim > 1 else float(pf)
 
 
@@ -138,39 +154,49 @@ _COMPLEX_STEP = 1e-100
 
 
 def survival_log_gradient(t, x):
-    """Gradient in x of ln survival_pfaffian(t, x), batched over (..., N).
+    """Gradient in x of ln survival_pfaffian(t, x), batched over (..., N);
+    NaN on every point whose survival Pfaffian is not positive.
 
     The entry A_ij = erf(u_ij), i < j, of the erf matrix A depends on x_i
     and x_j only: d_i A_ij = -G_ij and d_j A_ij = +G_ij with G_ij =
     exp(-u_ij^2) / sqrt(pi t).  d_k ln Pf(A) = dPf(A)[d_k A] / Pf(A) is
     taken by complex step, with the N Pfaffians of A + i h d_k A in one
-    batch, built from complex pair values erf(u_ij) + i h d_k A_ij by
-    _pair_matrix (whose odd-N fold is linear, so it folds A and d_k A
-    alike).  This differentiates the Pfaffian kernel itself; the explicit
-    inverse in 1/2 tr(A^-1 d_k A) loses all accuracy once five or more
-    particles cluster within a small fraction of sqrt(t), where A is
-    ill-conditioned.
+    batch of complex pair values erf(u_ij) + i h d_k A_ij (the odd-N fold is
+    linear, so it folds A and d_k A alike), read off by the closed form up
+    to N = 5 and eliminated in a stack above.  This differentiates the
+    Pfaffian kernel itself; the explicit inverse in 1/2 tr(A^-1 d_k A) loses
+    all accuracy once five or more particles cluster within a small fraction
+    of sqrt(t), where A is ill-conditioned.  Clustered points can cancel the
+    Pfaffian's digits down to a value <= 0, where its logarithm has no
+    gradient; those points get NaN, so that a simulation flags them.
     """
     xs = np.asarray(x, dtype=float)
     n = xs.shape[-1]
     linalg.check_time(t)
-    iu, ju, u = _pairs(t, xs)
-    u = np.moveaxis(u, -1, 0)
+    u = linalg.pair_gaps(xs) / (2.0 * math.sqrt(t))
     hg = _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t))
-    # the stack is allocated before the pair values, so that the
-    # elimination's temporaries take their memory once they are freed
-    s = np.zeros((n - n % 2,) * 2 + (n,) + u.shape[1:], dtype=complex)
+    # at order >= 6 the stack is allocated before the pair values, so that
+    # the elimination's temporaries take their memory once they are freed
+    if n > 5:
+        s = np.zeros((n - n % 2,) * 2 + (n,) + u.shape[1:], dtype=complex)
     # pairs first, then the N directions, then the batch: (P, N, ...), so
     # that the real part is written along whole batch rows
-    v = np.zeros((iu.size, n) + u.shape[1:], dtype=complex)
+    v = np.zeros((u.shape[0], n) + u.shape[1:], dtype=complex)
     v.real = erf(u)[:, None]
+    iu, ju = linalg.pair_index(n)
     p = np.arange(iu.size)
     v.imag[p, iu] = -hg   # d_i A_ij
     v.imag[p, ju] = hg    # d_j A_ij
-    _pair_matrix(v, n, out=s)
-    del v
-    pf = linalg._pfaffian_batch(s)
-    return np.moveaxis(pf.imag / (_COMPLEX_STEP * pf.real), 0, -1)
+    if n > 5:
+        _pair_matrix(v, n, out=s)
+        del v
+        pf = linalg._pfaffian_batch(s)
+    else:
+        pf = _folded_pfaffian(v, n)
+    positive = (pf.real > 0.0).all(axis=0)
+    grad = np.divide(pf.imag, _COMPLEX_STEP * pf.real, where=positive,
+                     out=np.full(pf.shape, np.nan))
+    return grad.transpose(*range(1, grad.ndim), 0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -400,12 +426,13 @@ def finite_horizon_density(T, s, x, t, y):
 
     Start at the origin with (s, x) = (0, None), where it is the GOE density
     times (T/t)^(N(N-1)/4) times survival over T - t: the pair gaps
-    y_j - y_i are formed once, for the Vandermonde product of the GOE
-    density and, scaled in place, for the erf entries of the survival
-    Pfaffian.  y may be a batch (..., N).  The survival factors use the fast
-    Pfaffian evaluator, of order N - 1 at odd N with no bordered matrix (see
-    _pair_matrix); ValueError when the survival from x is not positive, as
-    it comes out once clustered particles cancel the Pfaffian's digits.
+    y_j - y_i are formed once, pair axis first, for the Vandermonde product
+    of the GOE density and, scaled and turned into erf values in place, for
+    the survival Pfaffian (_folded_pfaffian).  y may be a batch (..., N).  The
+    survival factors use the fast Pfaffian evaluator, of order N - 1 at odd
+    N with no bordered matrix (see _fold); ValueError when the survival from
+    x is not positive, as it comes out once clustered particles cancel the
+    Pfaffian's digits.
     """
     if t > T:
         raise ValueError("need t <= T")
@@ -418,11 +445,11 @@ def finite_horizon_density(T, s, x, t, y):
             raise ValueError("origin start requires s = 0")
         linalg.check_time(T - t, zero_ok=True)
         gaps = linalg.pair_gaps(y)
-        val = _ensemble_density("goe", y, t, gaps)
+        val = _ensemble_density("goe", linalg._coordinates_first(y), t, gaps)
         val *= (T / t) ** (n * (n - 1) / 4.0)
         if t < T:
             gaps /= 2.0 * math.sqrt(T - t)
-            val *= linalg._pfaffian_batch(_erf_matrix(gaps, n))
+            val *= _folded_pfaffian(erf(gaps, out=gaps), n)
         return val if y.ndim > 1 else float(val)
     surv_y = survival_pfaffian(T - t, y)
     x = linalg.weyl_vector(x)
@@ -434,13 +461,14 @@ def finite_horizon_density(T, s, x, t, y):
     return val if y.ndim > 1 else float(val)
 
 
-def _ensemble_density(kind, x, t, gaps):
-    """GUE or GOE eigenvalue density at the points x (..., N), given their
-    pair gaps (linalg.pair_gaps): the Gaussian factor, then the constant,
-    then the Vandermonde product h (twice for GUE), applied in place to one
-    new array.  The constants come first, so that N >= 28 raises their
+def _ensemble_density(kind, rows, t, gaps):
+    """GUE or GOE eigenvalue density at points given coordinate-first, as
+    the rows (N, ...) of linalg._coordinates_first(x), and their pair gaps
+    (linalg.pair_gaps): the Gaussian factor, then the constant, then the
+    Vandermonde product h (twice for GUE), applied in place to one new
+    array.  The constants come first, so that N >= 28 raises their
     OverflowError before h can overflow."""
-    n = x.shape[-1]
+    n = rows.shape[0]
     c = constants(n)
     kind = kind.lower()
     if kind == "gue":
@@ -449,15 +477,15 @@ def _ensemble_density(kind, x, t, gaps):
         coef = t ** (-n * (n + 1) / 4.0) / c.c2
     else:
         raise ValueError("kind must be 'gue' or 'goe'")
-    # |x|^2 column by column, left to right: the order of numpy's sum over a
-    # last axis shorter than 8, at a fifth of its cost on rows that short
-    val = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+    # |x|^2 row by row, first to last: the order of numpy's sum over a last
+    # axis shorter than 8, at a fifth of its cost on rows that short
+    val = np.multiply(rows[0], rows[0], out=np.empty(rows.shape[1:]))
     for j in range(1, n):
-        val += x[..., j] * x[..., j]
+        val += rows[j] * rows[j]
     val /= -2.0 * t
     np.exp(val, out=val)
     val *= coef
-    h = np.prod(gaps, axis=-1)
+    h = np.prod(gaps, axis=0)
     val *= h
     if kind == "gue":
         val *= h
@@ -474,7 +502,8 @@ def eigenvalue_density(kind, x, t):
     """
     linalg.check_time(t)
     x = np.asarray(x, dtype=float)
-    val = _ensemble_density(kind, x, t, linalg.pair_gaps(x))
+    val = _ensemble_density(kind, linalg._coordinates_first(x), t,
+                            linalg.pair_gaps(x))
     return val if x.ndim > 1 else float(val)
 
 

@@ -2,9 +2,13 @@
 Hermitian, skew, time and count checks, the pair order and pair gaps,
 Vandermonde products, the one-dimensional heat kernel, and Pfaffians.
 
-The public pfaffian takes stacks (..., n, n).  Its kernel _pfaffian_batch
-takes them batch-last, (n, n, ...), and uses its input as work space for
-n >= 6; pfaffian hands it a transposed copy."""
+Batches are pair-first inside: pair_gaps gives the gaps of points
+(..., N) as (N(N-1)/2, ...), pair axis first and batch axes last, and the
+Pfaffian kernels take that layout.  _pair_pfaffian reads a Pfaffian of
+order <= 4 straight off the pair values, with no matrix; _pfaffian_batch
+takes stacks (n, n, ...), uses its input as work space for n >= 6 and ends
+its elimination with that same closed form.  The public pfaffian takes
+stacks (..., n, n) and hands _pfaffian_batch a transposed copy."""
 
 import functools
 import math
@@ -80,21 +84,31 @@ def pair_index(n):
     return iu, ju
 
 
+def _coordinates_first(x):
+    """The view (N, ...) of points x (..., N), coordinate axis first: that of
+    np.moveaxis(x, -1, 0), by one transpose call."""
+    return x.transpose(-1, *range(x.ndim - 1))
+
+
 def pair_gaps(x):
     """The gaps x_j - x_i over the pairs i < j of the last axis of an array
-    (..., N), in pair_index order: shape (..., N(N-1)/2)."""
+    (..., N), pair axis first: shape (N(N-1)/2, ...), in pair_index order,
+    taken as whole rows of the view _coordinates_first(x)."""
     iu, ju = pair_index(x.shape[-1])
-    return x[..., ju] - x[..., iu]
+    x = _coordinates_first(x)
+    return x[ju] - x[iu]
 
 
 def vandermonde(x):
     """Product of (x_j - x_i) over all pairs i < j of the last axis: a float
     for one vector, an array of shape x.shape[:-1] for a batch (..., N).
 
-    Nonnegative for ordered input; zero when two coordinates coincide.
+    Nonnegative for ordered input; zero when two coordinates coincide.  The
+    product runs over the pair axis of pair_gaps, in pair order, as numpy's
+    product over a last axis does.
     """
     x = np.asarray(x, dtype=float)
-    h = np.prod(pair_gaps(x), axis=-1)
+    h = np.prod(pair_gaps(x), axis=0)
     return float(h) if x.ndim == 1 else h
 
 
@@ -124,28 +138,36 @@ def pfaffian(A):
     return pf.item() if A.ndim == 2 else pf
 
 
+def _pair_pfaffian(v):
+    """Pfaffian of the antisymmetric matrix of order 0, 2 or 4 whose entries
+    above the diagonal are the pair values v (P, ...), P = 0, 1 or 6, in
+    pair_index order, batch axes last: 1, v01 or v01 v23 - v02 v13 +
+    v03 v12, an array of shape v.shape[1:] that is not a view of v."""
+    if v.shape[0] == 0:
+        return np.ones(v.shape[1:], dtype=np.result_type(v.dtype, float))
+    # v[k, ...] is an array even for one matrix, so that its products go
+    # through the array ufuncs, not the scalar ones
+    if v.shape[0] == 1:
+        return v[0, ...].copy()
+    return (v[0, ...] * v[5, ...] - v[1, ...] * v[4, ...]
+            + v[2, ...] * v[3, ...])
+
+
 def _pfaffian_batch(a):
     """Pfaffians of a stack (n, n, ...) of skew-symmetric float or complex
     matrices of even n, batch axes last, unchecked: an array of shape
     a.shape[2:].  For n >= 6 a is the work space and is overwritten.
 
-    n = 0, 2, 4: the closed forms 1, a01 and a01 a23 - a02 a13 + a03 a12.
-    Larger n: skew-symmetric elimination with partial pivoting (Parlett-Reid,
-    as in Wimmer, ACM TOMS 38, 2012), in place, one loop over columns for the
+    n <= 4: _pair_pfaffian of the entries above the diagonal.  Larger n:
+    skew-symmetric elimination with partial pivoting (Parlett-Reid, as in
+    Wimmer, ACM TOMS 38, 2012), in place, one loop over columns for the
     whole stack, down to the last 4 x 4 block; Pf is the signed product of
-    the pivots times the closed form of that block.  With the batch axes
+    the pivots times _pair_pfaffian of that block.  With the batch axes
     last every step runs along contiguous rows.
     """
     n = a.shape[0]
-    if n == 0:
-        return np.ones(a.shape[2:], dtype=np.result_type(a.dtype, float))
-    # a[i, j, ...] is an array even for one matrix, so that its products
-    # go through the array ufuncs, not the scalar ones
-    if n == 2:
-        return a[0, 1, ...].copy()
-    if n == 4:
-        return (a[0, 1, ...] * a[2, 3, ...] - a[0, 2, ...] * a[1, 3, ...]
-                + a[0, 3, ...] * a[1, 2, ...])
+    if n <= 4:
+        return _pair_pfaffian(a[pair_index(n)])
     shape = a.shape[2:]
     a = a.reshape((n, n, -1))
     rows = np.arange(a.shape[-1])

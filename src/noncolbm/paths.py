@@ -174,29 +174,28 @@ def sample_xit_marginal(n, t, T, size, rng):
 
 
 def matrix_path_csv_rows(mp):
-    """A path's CSV rows as (sources, columns).
+    """A path's CSV rows after its time column, as (sources, columns).
 
-    sources (K, N^2 + 2): time, the real parts of the diagonal and upper
-    triangle in np.triu_indices(N) order, the imaginary parts of the strict
-    upper triangle in that order, and a zero column.  columns has one
-    (source, negate) pair per column of the full row (time, then the entries
-    row-major with real and imaginary parts interleaved): H_ji = conj(H_ij)
-    takes the lower triangle from the upper one, its imaginary parts
-    negated, and the diagonal's imaginary parts are the zero column, +0.0 as
-    _hermitian writes them."""
-    k, n = mp.values.shape[:2]
+    sources (K, N^2): the real parts of the diagonal and upper triangle in
+    np.triu_indices(N) order, then the imaginary parts of the strict upper
+    triangle in that order.  columns has one (source, negate) pair per
+    column of the row (the entries row-major, real and imaginary parts
+    interleaved): H_ji = conj(H_ij) takes the lower triangle from the upper
+    one, its imaginary parts negated, and the diagonal's imaginary parts,
+    +0.0 as _hermitian writes them, have source None."""
+    n = mp.values.shape[1]
     iu, ju = np.triu_indices(n)
     off = iu != ju
     upper = mp.values[:, iu, ju]
-    sources = np.column_stack([mp.grid.times, upper.real,
-                               upper.imag[:, off], np.zeros(k)])
+    sources = np.column_stack([upper.real, upper.imag[:, off]])
     re = np.empty((n, n), dtype=int)
-    re[iu, ju] = re[ju, iu] = 1 + np.arange(iu.size)
-    im = np.full((n, n), sources.shape[1] - 1)
+    re[iu, ju] = re[ju, iu] = np.arange(iu.size)
+    im = np.empty((n, n), dtype=int)
     im[iu[off], ju[off]] = im[ju[off], iu[off]] = \
-        1 + iu.size + np.arange(off.sum())
-    columns = [(0, False)]
+        iu.size + np.arange(off.sum())
+    columns = []
     for i in range(n):
         for j in range(n):
-            columns += [(int(re[i, j]), False), (int(im[i, j]), i > j)]
+            columns += [(int(re[i, j]), False),
+                        (None if i == j else int(im[i, j]), i > j)]
     return sources, columns

@@ -71,12 +71,14 @@ def ks_one_sample(samples, cdf):
 def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
     """Coordinate-marginal CDFs of a joint chamber density.
 
-    joint must accept a batch (M, n) and return its M values.  The marginal
-    density of coordinate i at value v integrates the joint over the lower
-    coordinates ordered below v and the upper coordinates ordered above v.
-    Returns a list of callables (numpy-vectorized via interpolation on a
-    grid of grid_points >= 2 values from lo < hi).  ValueError for a
-    coordinate whose trapezoid mass on the grid is not positive and finite.
+    joint must accept a batch (M, n) and return its M values; it is handed
+    the (M, n) transposed view of points built coordinate-first, (n, M).
+    The marginal density of coordinate i at value v integrates the joint
+    over the lower coordinates ordered below v and the upper coordinates
+    ordered above v.  Returns a list of callables (numpy-vectorized via
+    interpolation on a grid of grid_points >= 2 values from lo < hi).
+    ValueError for a coordinate whose trapezoid mass on the grid is not
+    positive and finite.
 
     The grid values are taken in blocks: joint is called once per block, on
     the rule's nodes mapped to each value of the block in turn, at most
@@ -103,14 +105,14 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
         # is la whole upper rules or a range of lu rows of one
         nl, nu = _MARGINAL_NODES ** i, _MARGINAL_NODES ** (n - 1 - i)
         la, lu = (max(1, block // nu), nu) if nu <= block else (1, block)
-        lower = np.arange(n) < i
+        lower = (np.arange(n) < i)[:, None]
         # the Jacobians by scalar powers, which call pow(); an array's ** 2
         # squares instead, and the two can differ in the last bit
         dens = np.array([(v - lo) ** i * (hi - v) ** (n - 1 - i)
                          for v in vs])
         step = max(1, block // (nl * nu))
         for k in range(0, grid_points, step):
-            v = vs[k:k + step, None]
+            v = vs[k:k + step]
             shift = np.where(lower, lo, v)
             scale = np.where(lower, v - lo, hi - v)
             terms = np.empty((v.size, nl * nu))
@@ -120,15 +122,22 @@ def chamber_marginal_cdfs(joint, n, lo, hi, grid_points=801):
                         i, 0.0, 1.0, _MARGINAL_NODES, a, a + la)
                     up, uw = densities.chamber_points(
                         n - 1 - i, 0.0, 1.0, _MARGINAL_NODES, b, b + lu)
-                    unit = np.zeros((lw.size, uw.size, n))
-                    unit[:, :, :i] = lp[:, None, :]
-                    unit[:, :, i + 1:] = up[None, :, :]
+                    # coordinate-first: (n, lower rows, upper rows)
+                    unit = np.zeros((n, lw.size, uw.size))
+                    unit[:i] = lp.T[:, :, None]
+                    unit[i + 1:] = up.T[:, None, :]
+                    unit = unit.reshape(n, -1)
                     wts = np.outer(lw, uw).ravel()
-                pts = np.multiply(scale[:, None, :], unit.reshape(-1, n))
-                pts += shift[:, None, :]
+                # coordinate-first too, (n, values, rows), one coordinate's
+                # rows at a time, so that the map and the joint's arithmetic
+                # run along whole rows; the joint gets the (M, n) view of it
+                pts = np.empty((n, v.size, unit.shape[1]))
+                for c in range(n):
+                    np.multiply(scale[c][:, None], unit[c], out=pts[c])
+                    pts[c] += shift[c][:, None]
                 r = a * nu + b
                 terms[:, r:r + wts.size] = wts * joint(
-                    pts.reshape(-1, n)).reshape(v.size, -1)
+                    pts.reshape(n, -1).T).reshape(v.size, -1)
             dens[k:k + step] *= np.sum(terms, axis=1)
         cdf = _cumulative_trapezoid(dens, vs)
         mass = float(cdf[-1])

@@ -167,23 +167,23 @@ class TestSimulate:
 
     def test_writer_peak_memory_at_most_row_wise(self):
         # the xit table of six replicates of 512 steps at n = 3, written
-        # row by row in full and as simulate writes it: 12 source columns
-        # (rep, time, the diagonal's real parts, the upper triangle's real
-        # and imaginary parts, a zero column) and their map
+        # row by row in full and as simulate writes it: 9 source columns
+        # (the diagonal's real parts, the upper triangle's real and
+        # imaginary parts), their map, and each row's lead (rep and time)
         data = matrix_table("xit", 3, 512, 6, 1)
         assert data.shape == (3078, 20)
         grid = paths.TimeGrid.uniform(1.0, 512)
         tables = [paths.matrix_path_csv_rows(paths.build_matrix_process(
             "xit", 3, grid, substream(1, r))) for r in range(6)]
-        sources = np.concatenate([np.column_stack([np.full(513, r), x])
-                                  for r, (x, _) in enumerate(tables)])
-        colmap = [(0, False)] + [(c + 1, neg) for c, neg in tables[0][1]]
-        assert sources.shape == (3078, 12) and len(colmap) == 20
-        assert "".join(cli._csv_lines(sources, colmap)) \
+        sources = np.concatenate([x for x, _ in tables])
+        colmap = tables[0][1]
+        leads = ["%d,%.17g" % (r, t) for r in range(6) for t in grid.times]
+        assert sources.shape == (3078, 9) and len(colmap) == 18
+        assert "".join(cli._csv_lines(sources, colmap, leads)) \
             == "".join(row_wise_lines(data))
         peaks = []
         for lines, args in ((row_wise_lines, (data,)),
-                            (cli._csv_lines, (sources, colmap))):
+                            (cli._csv_lines, (sources, colmap, leads))):
             "".join(lines(*args))   # first calls allocate once-only state
             tracemalloc.start()
             try:
@@ -583,6 +583,23 @@ class TestConfigPrecedence:
                         "1", "--out", str(out), *flags]) == 0
             cfg = json.loads(out.read_text())["config"]
             assert (cfg["reps"], cfg["samples"]) == (300, samples)
+
+    def test_key_that_no_command_takes_refused(self, tmp_path, capsys):
+        # a misspelt key exits 2 naming it, before anything is written; a
+        # key that only another command takes is ignored
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("n = 3\nstpes = 8\n")
+        out = tmp_path / "o.csv"
+        assert run(["--config", str(cfgfile), "simulate", "--model", "gue",
+                    "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'stpes'" in err
+        assert not out.exists()
+        cfgfile.write_text("steps = 8\n")
+        assert run(["--config", str(cfgfile), "density", "--name", "f",
+                    "--t", "1", "--x", "0,1", "--y", "0,1", "--seed", "1",
+                    "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NONCOLBM_SEED", "123")

@@ -157,7 +157,8 @@ class TestSurvival:
         rng = substream(23)
         for n in range(2, 9):
             xs = np.sort(2.0 * rng.normal(size=(50, n)), axis=-1)
-            iu, ju, u = densities._pairs(0.8, xs)
+            iu, ju = linalg.pair_index(n)
+            u = linalg.pair_gaps(xs).T / (2.0 * math.sqrt(0.8))
             g = np.exp(-u * u) / math.sqrt(math.pi * 0.8)
             # d_k A_ij = G_ij (delta_kj - delta_ki), pairs first: (P, 50, n)
             d = np.eye(n)[ju] - np.eye(n)[iu]
@@ -196,8 +197,26 @@ class TestSurvival:
                                    ref, rtol=1e-9,
                                    atol=1e-12 * np.abs(ref).max(initial=1.0))
         if n == 3:
-            e = erf(densities._pairs(1.0, x)[2])   # u01, u02, u12
+            e = erf(linalg.pair_gaps(x) / 2.0)   # u01, u02, u12
             assert densities.survival_pfaffian(1.0, x) == (e[2] + e[0]) - e[1]
+
+    @pytest.mark.parametrize("n,scale", ((4, 1e-4), (5, 1e-3), (6, 0.03),
+                                         (8, 0.03)))
+    def test_log_gradient_nan_where_pfaffian_not_positive(self, n, scale):
+        # clustered points cancel the Pfaffian's digits down to a value
+        # <= 0, which has no logarithm (at N=6 and spread 0.03 about
+        # -8.8e-30): those rows, and only those, turn NaN without a warning,
+        # whether the Pfaffian is read off the pair values or eliminated
+        clustered = scale * np.linspace(-1.0, 1.0, n)
+        spread = np.linspace(-1.0, 1.0, n)
+        assert densities.survival_pfaffian(1.0, clustered) <= 0.0
+        g = densities.survival_log_gradient(1.0, np.stack([clustered, spread]))
+        assert g.shape == (2, n)
+        assert np.isnan(g[0]).all()
+        assert np.isfinite(g[1]).all()
+        np.testing.assert_array_equal(
+            g[1], densities.survival_log_gradient(1.0, spread))
+        assert np.isnan(densities.survival_log_gradient(1.0, clustered)).all()
 
     def test_log_gradient_peak_memory(self):
         # the kernel eliminates in the complex-step stack itself: no

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from noncolbm import densities, linalg
 from noncolbm.rng import substream
@@ -231,8 +234,9 @@ class TestOneKernel:
         # same erf matrices (of order N - 1 for odd N, the border folded in)
         # by the same arithmetic
         xs = np.sort(substream(16).normal(size=(30, n)) * 1.5, axis=1)
-        e = np.moveaxis(densities._erf_matrix(densities._pairs(0.7, xs)[2], n),
-                        (0, 1), (-2, -1))
+        e = np.moveaxis(densities._pair_matrix(
+            erf(linalg.pair_gaps(xs) / (2.0 * math.sqrt(0.7))), n),
+            (0, 1), (-2, -1))
         np.testing.assert_array_equal(linalg.pfaffian(e),
                                       densities.survival_pfaffian(0.7, xs))
 

@@ -165,8 +165,9 @@ class TestMatrixProcesses:
     @pytest.mark.parametrize("kind", ["gue", "goe", "xit", "pinned"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_csv_column_map_gives_every_entry_bit_for_bit(self, kind, n):
-        # the map's copies and negations of the source columns are the
-        # path's time, then its entries' real and imaginary parts row-major
+        # the map's copies and negations of the source columns, and zeros
+        # for its None columns, are the path's entries' real and imaginary
+        # parts row-major
         g = paths.TimeGrid.uniform(2.0, 8)
         if kind == "pinned":
             h = paths.sample_gue(n, 1.0, 1, substream(14, n))[0]
@@ -174,12 +175,12 @@ class TestMatrixProcesses:
         else:
             mp = paths.build_matrix_process(kind, n, g, substream(16, n))
         sources, colmap = paths.matrix_path_csv_rows(mp)
-        assert sources.shape == (9, n * n + 2) and len(colmap) == 1 + 2 * n * n
-        full = np.column_stack([-sources[:, c] if negate else sources[:, c]
+        assert sources.shape == (9, n * n) and len(colmap) == 2 * n * n
+        full = np.column_stack([np.zeros(9) if c is None else
+                                -sources[:, c] if negate else sources[:, c]
                                 for c, negate in colmap])
         v = mp.values.reshape(9, -1)
-        expected = np.column_stack([g.times, np.stack(
-            [v.real, v.imag], axis=-1).reshape(9, -1)])
+        expected = np.stack([v.real, v.imag], axis=-1).reshape(9, -1)
         assert full.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [0, -1, 2.5])

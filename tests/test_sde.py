@@ -275,6 +275,17 @@ class TestIntegration:
             assert np.isfinite(res.states).all()
             assert (np.diff(res.states[:, 1:, :], axis=-1) > 0).all()
 
+    def test_cancelled_drift_flags_the_replicate(self):
+        # from the origin at N=7 the first steps' survival Pfaffian cancels
+        # to a value <= 0 on some rows; the drift is NaN there, the implicit
+        # step flags those rows, and at_time refuses the run
+        cfg = sde.SDEConfig(n=7, horizon=1.0, dt=1.0 / 1024)
+        res = sde.simulate_noncolliding(cfg, 16 / 1024, seed=7, reps=200)
+        assert 0 < res.failed.sum() < 200
+        assert np.isfinite(res.states[~res.failed]).all()
+        with pytest.raises(ValueError, match="replicates failed"):
+            res.at_time(16 / 1024)
+
     def test_euler_bias_against_matrix_eigenvalues_n4(self):
         # no closed-form marginals at N=4: the eigenvalues of the
         # finite-horizon matrix process have the exact law of the states
