@@ -15,11 +15,6 @@ from . import densities, linalg, paths, sde, verify
 from .rng import substream
 
 
-class _UsageError(Exception):
-    """Bad input from a flag, the config file or the environment: main
-    prints it as "error: ..." and exits with status 2."""
-
-
 _ROWS = 64                     # rows of the table held as strings at once
 
 
@@ -66,14 +61,15 @@ def _block_text(block, colmap, leads):
 
 
 def _parse_points(s):
-    return [np.array([float(v) for v in p.split(",")])
+    return [linalg.weyl_vector([float(v) for v in p.split(",")])
             for p in s.split(";") if p.strip()]
 
 
 def _density_points(name, args):
     """The --x and --y points of a density query, [None] for an absent flag.
-    ValueError for malformed points, points of different lengths, or a
-    point the named density needs but was not given."""
+    ValueError for malformed points, points outside the Weyl chamber, points
+    of different lengths, or a point the named density needs but was not
+    given."""
     xs = _parse_points(args.x or "") or [None]
     ys = _parse_points(args.y or "") or [None]
     if name in ("f", "survival", "gue", "goe") and xs[0] is None:
@@ -90,23 +86,23 @@ def _load_config(path):
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise _UsageError("cannot read config file: %s" % exc) from None
+        raise ValueError("cannot read config file: %s" % exc) from None
     cfg = {}
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if line and not line.startswith("#"):
             key, eq, val = line.partition("=")
             if not eq:
-                raise _UsageError("%s line %d: expected key = value, got %r"
-                                  % (path, number, line))
+                raise ValueError("%s line %d: expected key = value, got %r"
+                                 % (path, number, line))
             cfg[key.strip()] = val.strip()
     # a key that another command takes is ignored; one that none takes is
     # most likely misspelt, and would silently run on the default
     known = {"seed"}.union(*(options for *_, options in _COMMANDS.values()))
     for key in cfg:
         if key not in known:
-            raise _UsageError("%s: key %r is not an option of any command"
-                              % (path, key))
+            raise ValueError("%s: key %r is not an option of any command"
+                             % (path, key))
     return cfg
 
 
@@ -121,8 +117,8 @@ def _effective(args, config, key, default, cast):
     try:
         return cast(config[key])
     except ValueError:
-        raise _UsageError("%s = %r is not a valid %s"
-                          % (key, config[key], cast.__name__)) from None
+        raise ValueError("%s = %r is not a valid %s"
+                         % (key, config[key], cast.__name__)) from None
 
 
 def _digest(cfg):
@@ -143,16 +139,13 @@ def _configure(args, config):
     for key, (_, bound) in options.items():
         val = cfg[key]
         if isinstance(bound, tuple) and val not in bound:
-            raise _UsageError("--%s must be one of %s, got %r"
-                              % (key, ", ".join(bound), val))
+            raise ValueError("--%s must be one of %s, got %r"
+                             % (key, ", ".join(bound), val))
         if isinstance(bound, int):
-            try:
-                linalg.check_time(val, name="--" + key)
-            except ValueError as exc:
-                raise _UsageError(exc) from exc
+            linalg.check_time(val, name="--" + key)
             if val < bound:
-                raise _UsageError("--%s must be at least %d, got %r"
-                                  % (key, bound, val))
+                raise ValueError("--%s must be at least %d, got %r"
+                                 % (key, bound, val))
     seed = _effective(args, config, "seed", None, int)
     if seed is None:
         seed = _effective(args, os.environ, "NONCOLBM_SEED", None, int)
@@ -250,16 +243,9 @@ def cmd_density(args, cfg):
         return [densities.eigenvalue_density(name, x, t)]
 
     # one row per point: its coordinates, then its value(s)
-    try:
-        xs, ys = _density_points(name, args)
-        rows = [([] if x is None else list(x)) + values(x, y)
-                for x in xs
-                for y in (ys if name in ("f", "p", "g") else [None])]
-    except ValueError as exc:
-        raise _UsageError(exc) from exc
-    except OverflowError as exc:
-        raise _UsageError("--name %s overflows at this point: %s"
-                          % (name, exc)) from exc
+    xs, ys = _density_points(name, args)
+    rows = [([] if x is None else list(x)) + values(x, y)
+            for x in xs for y in (ys if name in ("f", "p", "g") else [None])]
     columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
     columns.append("value")
     if name == "survival" and method == "montecarlo":
@@ -283,8 +269,8 @@ def cmd_verify(args, cfg):
     suite_fn, sizes = _SUITES[cfg["suite"]]
     if (suite_fn is verify.marginals_suite
             and cfg["n"] > verify.MARGINALS_MAX_N):
-        raise _UsageError("--n must be at most %d for the %s suite, got %d"
-                          % (verify.MARGINALS_MAX_N, cfg["suite"], cfg["n"]))
+        raise ValueError("--n must be at most %d for the %s suite, got %d"
+                         % (verify.MARGINALS_MAX_N, cfg["suite"], cfg["n"]))
     report = verify.run_suite_with_retry(
         suite_fn, cfg["seed"], **{k: cfg[v] for k, v in sizes.items()})
     report["schema_version"] = 1
@@ -348,13 +334,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run argv's command: exit status 0 on success, 1 when a verify suite
+    fails, 2 on a refusal, a ValueError, OSError or OverflowError from the
+    CLI or the library, which is printed as one "error: ..." line."""
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
         # looked up when called, so that a wrapper set on cmd_* is the one run
         return globals()["cmd_" + args.command](args, _configure(args, config))
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, OverflowError) as exc:
+        what = "a value overflows: " if isinstance(exc, OverflowError) else ""
+        print("error: " + what + str(exc), file=sys.stderr)
         return 2
 
 

@@ -58,10 +58,14 @@ def constants(n):
     linalg.check_count("n", n, least=1)
     lg1 = sum(gammaln(j) for j in range(1, n + 1))
     lg2 = sum(gammaln(j / 2.0) for j in range(1, n + 1))
-    c1 = (2.0 * math.pi) ** (n / 2.0) * math.exp(lg1)
-    c2 = 2.0 ** (n / 2.0) * math.exp(lg2)
-    c3 = 2.0 ** (n / 2.0) * math.pi ** (n * n / 2.0)
-    c4 = 2.0 ** (n / 2.0) * math.pi ** (n * (n + 1) / 4.0)
+    try:
+        c1 = (2.0 * math.pi) ** (n / 2.0) * math.exp(lg1)
+        c2 = 2.0 ** (n / 2.0) * math.exp(lg2)
+        c3 = 2.0 ** (n / 2.0) * math.pi ** (n * n / 2.0)
+        c4 = 2.0 ** (n / 2.0) * math.pi ** (n * (n + 1) / 4.0)
+    except OverflowError:   # c1's exp, from n = 28 on
+        raise OverflowError("the normalization constants at n=%d exceed the "
+                            "float range" % n) from None
     return NormalizationConstants(c1, c2, c3, c4)
 
 

@@ -64,21 +64,25 @@ class SimResult:
     failed: np.ndarray   # (reps,) bool
 
     def at_time(self, t):
-        """States of all replicates at the grid time closest to t.
+        """States of all replicates at the grid time t.
 
-        Raises ValueError when t is not finite or lies outside the grid's
-        [times[0], times[-1]], and when any replicate is flagged failed: a
-        statistic of the survivors alone would be biased."""
+        Raises ValueError when t is not finite, lies outside the grid's
+        [times[0], times[-1]] or is not one of its times (beyond rounding,
+        1e-9 of the grid's span), and when any replicate is flagged failed:
+        a statistic of the survivors alone would be biased."""
         linalg.check_time(t, zero_ok=True)
         lo, hi = float(self.times[0]), float(self.times[-1])
         if not lo <= t <= hi:
             raise ValueError("t must lie in [%r, %r], got %r"
                              % (lo, hi, float(t)))
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * (hi - lo):
+            raise ValueError("t = %r is not a grid time; the nearest is %r"
+                             % (float(t), float(self.times[k])))
         n_failed = int(self.failed.sum())
         if n_failed:
             raise ValueError("%d of %d replicates failed; refusing to return "
                              "a filtered sample" % (n_failed, self.failed.size))
-        k = int(np.argmin(np.abs(self.times - t)))
         return self.states[:, k, :]
 
 

@@ -434,7 +434,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [["hc", "--samples", "2000"],
                                       ["imhof", "--reps", "200"],
-                                      ["densities", "--samples", "2000"]])
+                                      ["densities", "--samples", "2000"],
+                                      ["marginals", "--n", "2",
+                                       "--reps", "200"]])
     def test_report_matches_schema(self, tmp_path, capsys, argv):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(resources.files("noncolbm").joinpath(
@@ -520,6 +522,42 @@ class TestBadInput:
         out = tmp_path / "r.json"
         assert run(["verify", *argv, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: " + argv[-2])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,says", [
+        (["verify", "imhof", "--n", "28", "--reps", "2"],
+         "overflows: the normalization constants at n=28"),
+        (["density", "--name", "gue", "--t", "30",
+          "--x", ",".join(str(i) for i in range(28))],
+         "overflows: the normalization constants at n=28"),
+        (["verify", "imhof", "--n", "7", "--reps", "20", "--seed", "7"],
+         "5 of 20 replicates failed"),
+        (["simulate", "--model", "gue", "--seed", "1"], "No such file"),
+        (["verify", "hc", "--samples", "2000", "--seed", "1"],
+         "No such file"),
+        (["density", "--name", "goe", "--t", "1", "--x", "1,0"],
+         "strictly increasing"),
+        (["density", "--name", "gue", "--t", "1", "--x", "0,2,1"],
+         "strictly increasing"),
+        (["density", "--name", "f", "--t", "0.5", "--x", "0,1",
+          "--y", "1,0"], "strictly increasing"),
+        (["density", "--name", "p", "--t", "1", "--x", "0,1", "--y", "1,0"],
+         "strictly increasing"),
+        (["density", "--name", "g", "--t", "0.5", "--x", "0,1",
+          "--y", "0,1;1,0"], "strictly increasing"),
+    ], ids=["imhof-28-overflow", "gue-28-points-overflow",
+            "imhof-7-failed-replicates", "simulate-missing-dir",
+            "hc-missing-dir", "goe-unordered-x", "gue-unordered-x",
+            "f-unordered-y", "p-unordered-y", "g-unordered-y"])
+    def test_refusal_exits_two(self, tmp_path, capsys, argv, says):
+        # every refusal, of the CLI or of the library, is one "error: " line
+        # that says what was refused, and exit 2, with no output file
+        missing = says == "No such file"
+        out = tmp_path / "missing" / "o" if missing else tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,prefix,flag", [

@@ -40,6 +40,12 @@ class TestConstants:
         with pytest.raises(ValueError, match=r"\(an integer\), got 2\.5"):
             densities.constants(2.5)
 
+    def test_overflow_names_n(self):
+        assert math.isfinite(densities.constants(27).c1)
+        with pytest.raises(OverflowError, match="normalization constants at "
+                           "n=28 exceed the float range"):
+            densities.constants(28)
+
 
 class TestTransitionDensity:
     def test_n1_is_heat_kernel(self):

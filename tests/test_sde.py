@@ -257,6 +257,26 @@ class TestIntegration:
         with pytest.raises(ValueError, match=match):
             res.at_time(t)
 
+    def test_at_time_refuses_a_time_between_grid_times(self):
+        res = sde.SimResult(np.linspace(0.0, 1.0, 4),
+                            np.zeros((2, 4, 2)), np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match="0.25 is not a grid time"):
+            res.at_time(0.25)
+
+    @pytest.mark.parametrize("horizon", [1.0, 1.3])
+    @pytest.mark.parametrize("steps", [1024, 512, 256])
+    def test_at_time_accepts_the_suites_times(self, horizon, steps):
+        # the suites' times T/4, T/2, 3T/4 and T, computed as they compute
+        # them, on the grid that _integrate builds for dt = T / steps
+        T = horizon
+        k = max(1, int(round(T / (T / steps))))
+        times = np.linspace(0.0, T, k + 1)
+        states = np.arange(2 * (k + 1), dtype=float).reshape(2, k + 1, 1)
+        res = sde.SimResult(times, states, np.zeros(2, dtype=bool))
+        for j, t in enumerate([T / 4, T / 2, 3 * T / 4, T], 1):
+            np.testing.assert_array_equal(res.at_time(t),
+                                          states[:, j * k // 4, :])
+
     def test_at_time_accepts_the_grid_ends(self):
         times = np.linspace(0.0, 0.5, 3)
         states = np.arange(12, dtype=float).reshape(2, 3, 2)

@@ -316,6 +316,13 @@ class TestSuites:
                 "passed"} <= set(report)
         assert report["passed"]
 
+    @pytest.mark.parametrize("suite", [verify.imhof_suite,
+                                       verify.marginals_suite])
+    def test_suite_refuses_a_step_off_its_times(self, suite):
+        # dt = 0.3 gives the grid 0, 1/3, 2/3, 1, which holds no T/4 or T/2
+        with pytest.raises(ValueError, match="is not a grid time"):
+            suite(n=2, reps=50, seed=1, dt=0.3)
+
     def test_marginals_suite_refuses_n_above_4(self, monkeypatch):
         # its closed-form check would take some 48 min at n = 5; refused
         # before the SDE runs
