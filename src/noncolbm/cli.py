@@ -60,18 +60,25 @@ def _block_text(block, colmap, leads):
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
-def _parse_points(s):
-    return [linalg.weyl_vector([float(v) for v in p.split(",")])
-            for p in s.split(";") if p.strip()]
+def _parse_points(flag, s):
+    """The ";"-separated points of the flag's value s; ValueError naming the
+    flag, the place and the text of a refused point."""
+    points = [p.strip() for p in s.split(";") if p.strip()]
+    for k, p in enumerate(points):
+        try:
+            points[k] = linalg.weyl_vector([float(v) for v in p.split(",")])
+        except ValueError as exc:
+            raise ValueError("%s point %d (%s): %s"
+                             % (flag, k + 1, p, exc)) from None
+    return points
 
 
 def _density_points(name, args):
     """The --x and --y points of a density query, [None] for an absent flag.
-    ValueError for malformed points, points outside the Weyl chamber, points
-    of different lengths, or a point the named density needs but was not
-    given."""
-    xs = _parse_points(args.x or "") or [None]
-    ys = _parse_points(args.y or "") or [None]
+    ValueError for a refused point (_parse_points), --x points of different
+    lengths, or a point the named density needs but was not given."""
+    xs = _parse_points("--x", args.x or "") or [None]
+    ys = _parse_points("--y", args.y or "") or [None]
     if name in ("f", "survival", "gue", "goe") and xs[0] is None:
         raise ValueError("--name %s needs --x" % name)
     if name in ("f", "p", "g") and ys[0] is None:
@@ -339,6 +346,8 @@ def main(argv=None):
     CLI or the library, which is printed as one "error: ..." line."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out:   # refuse an --out in a missing directory before work
+            os.stat(os.path.dirname(os.path.abspath(args.out)))
         config = _load_config(args.config) if args.config else {}
         # looked up when called, so that a wrapper set on cmd_* is the one run
         return globals()["cmd_" + args.command](args, _configure(args, config))

@@ -4,9 +4,11 @@ three independent evaluation strategies (Pfaffian, quadrature, Monte Carlo).
 
 Batches of points (..., N) are pair-first inside: the kernels work on the
 rows of linalg.pair_gaps, (N(N-1)/2, ...), and of the coordinate-first
-view of the points, and never move an axis back.  No matrix is built below
-order 6 (N <= 5).  survival_log_gradient is NaN where the Pfaffian cancels
-to <= 0, so that the SDE flags those points; one that cancels to a
+view of the points, and never move an axis back.  Every survival factor is
+_survival's, and every Pfaffian is linalg._pair_pfaffian's, the one entry
+point, of the pair values; only the gradient's memory path at N >= 6 calls
+the kernel under it.  survival_log_gradient is NaN where the Pfaffian
+cancels to <= 0, so that the SDE flags those points; one that cancels to a
 positive but wrong value is not caught.
 """
 
@@ -108,46 +110,22 @@ def _fold(v, n):
     return v
 
 
-def _pair_matrix(v, n, out=None):
-    """Antisymmetric matrix of the pair values v (N(N-1)/2, ...) of N points
-    folded by _fold, batch axes last: shape (m, m, ...), m = N - N % 2, the
-    layout of linalg._pfaffian_batch.  v is overwritten.  out, if given, is
-    a zero array of that shape to fill."""
-    v = _fold(v, n)
-    m = n - n % 2
-    iu, ju = linalg.pair_index(m)
-    a = np.zeros((m, m) + v.shape[1:], dtype=v.dtype) if out is None else out
-    a[iu, ju] = v
-    # negated in place, as a product with -1.0: numpy's np.negative is not
-    # vectorized for complex arrays, and is five times slower on a 100-row
-    # N=6 drift stack
-    a[ju, iu] = np.multiply(v, -1.0, out=v)
-    return a
-
-
-def _folded_pfaffian(v, n):
-    """Pfaffian of the pair values v (N(N-1)/2, ...) of N points, batch axes
-    last, folded at odd N (see _fold); v is overwritten.  Orders up to 4
-    (N <= 5) are read off the folded pair values by linalg._pair_pfaffian,
-    with no matrix; larger ones eliminate in _pair_matrix's stack."""
-    if n <= 5:
-        return linalg._pair_pfaffian(_fold(v, n))
-    return linalg._pfaffian_batch(_pair_matrix(v, n))
+def _survival(t, gaps, n):
+    """Survival Pfaffian over time t > 0 of N points from their pair gaps
+    (N(N-1)/2, ...), which are overwritten: scaled by 1/(2 sqrt(t)), turned
+    into erf values, folded at odd N (_fold) and handed to
+    linalg._pair_pfaffian."""
+    gaps /= 2.0 * math.sqrt(t)
+    return linalg._pair_pfaffian(_fold(erf(gaps, out=gaps), n))
 
 
 def survival_pfaffian(t, x):
-    """No-collision probability via the Pfaffian of the erf-entry matrix.
-
-    The erf values of the pair gaps, pair axis first, go to _folded_pfaffian:
-    odd N evaluates a Pfaffian of order N - 1, the border's pivot step taken
-    in closed form (erf at infinity is the border's 1), and no matrix is
-    built below order 6.  Vectorized over a batch of start vectors (..., N).
-    t == 0 returns 1 for strict input.
-    """
+    """No-collision probability via the Pfaffian of the erf-entry matrix
+    (_survival), for one start or a batch (..., N); 1 at t == 0."""
     xs = np.asarray(x, dtype=float)
     linalg.check_time(t, zero_ok=True)
-    pf = (np.ones(xs.shape[:-1]) if t == 0 else _folded_pfaffian(
-        erf(linalg.pair_gaps(xs) / (2.0 * math.sqrt(t))), xs.shape[-1]))
+    pf = (np.ones(xs.shape[:-1]) if t == 0 else
+          _survival(t, linalg.pair_gaps(xs), xs.shape[-1]))
     return pf if xs.ndim > 1 else float(pf)
 
 
@@ -166,13 +144,14 @@ def survival_log_gradient(t, x):
     exp(-u_ij^2) / sqrt(pi t).  d_k ln Pf(A) = dPf(A)[d_k A] / Pf(A) is
     taken by complex step, with the N Pfaffians of A + i h d_k A in one
     batch of complex pair values erf(u_ij) + i h d_k A_ij (the odd-N fold is
-    linear, so it folds A and d_k A alike), read off by the closed form up
-    to N = 5 and eliminated in a stack above.  This differentiates the
-    Pfaffian kernel itself; the explicit inverse in 1/2 tr(A^-1 d_k A) loses
-    all accuracy once five or more particles cluster within a small fraction
-    of sqrt(t), where A is ill-conditioned.  Clustered points can cancel the
-    Pfaffian's digits down to a value <= 0, where its logarithm has no
-    gradient; those points get NaN, so that a simulation flags them.
+    linear, so it folds A and d_k A alike), handed to linalg._pair_pfaffian
+    up to N = 5; from N = 6 they fill linalg._pair_matrix's stack and are
+    freed before linalg._pfaffian_batch eliminates it.  This differentiates
+    the Pfaffian kernel itself; the explicit inverse in 1/2 tr(A^-1 d_k A)
+    loses all accuracy once five or more particles cluster within a small
+    fraction of sqrt(t), where A is ill-conditioned.  Clustered points can
+    cancel the Pfaffian's digits down to a value <= 0, where its logarithm
+    has no gradient; those points get NaN, so that a simulation flags them.
     """
     xs = np.asarray(x, dtype=float)
     n = xs.shape[-1]
@@ -180,7 +159,8 @@ def survival_log_gradient(t, x):
     u = linalg.pair_gaps(xs) / (2.0 * math.sqrt(t))
     hg = _COMPLEX_STEP * (np.exp(-u * u) / math.sqrt(math.pi * t))
     # at order >= 6 the stack is allocated before the pair values, so that
-    # the elimination's temporaries take their memory once they are freed
+    # the elimination's temporaries take their memory once they are freed;
+    # held through the elimination, they make it fault its pages back in
     if n > 5:
         s = np.zeros((n - n % 2,) * 2 + (n,) + u.shape[1:], dtype=complex)
     # pairs first, then the N directions, then the batch: (P, N, ...), so
@@ -192,11 +172,11 @@ def survival_log_gradient(t, x):
     v.imag[p, iu] = -hg   # d_i A_ij
     v.imag[p, ju] = hg    # d_j A_ij
     if n > 5:
-        _pair_matrix(v, n, out=s)
+        linalg._pair_matrix(_fold(v, n), n - n % 2, out=s)
         del v
         pf = linalg._pfaffian_batch(s)
     else:
-        pf = _folded_pfaffian(v, n)
+        pf = linalg._pair_pfaffian(_fold(v, n))
     positive = (pf.real > 0.0).all(axis=0)
     grad = np.divide(pf.imag, _COMPLEX_STEP * pf.real, where=positive,
                      out=np.full(pf.shape, np.nan))
@@ -431,11 +411,9 @@ def finite_horizon_density(T, s, x, t, y):
     Start at the origin with (s, x) = (0, None), where it is the GOE density
     times (T/t)^(N(N-1)/4) times survival over T - t: the pair gaps
     y_j - y_i are formed once, pair axis first, for the Vandermonde product
-    of the GOE density and, scaled and turned into erf values in place, for
-    the survival Pfaffian (_folded_pfaffian).  y may be a batch (..., N).  The
-    survival factors use the fast Pfaffian evaluator, of order N - 1 at odd
-    N with no bordered matrix (see _fold); ValueError when the survival from
-    x is not positive, as it comes out once clustered particles cancel the
+    of the GOE density and then for _survival, which overwrites them.  y
+    may be a batch (..., N).  ValueError when the survival from x is not
+    positive, as it comes out once clustered particles cancel the
     Pfaffian's digits.
     """
     if t > T:
@@ -452,8 +430,7 @@ def finite_horizon_density(T, s, x, t, y):
         val = _ensemble_density("goe", linalg._coordinates_first(y), t, gaps)
         val *= (T / t) ** (n * (n - 1) / 4.0)
         if t < T:
-            gaps /= 2.0 * math.sqrt(T - t)
-            val *= _folded_pfaffian(erf(gaps, out=gaps), n)
+            val *= _survival(T - t, gaps, n)
         return val if y.ndim > 1 else float(val)
     surv_y = survival_pfaffian(T - t, y)
     x = linalg.weyl_vector(x)

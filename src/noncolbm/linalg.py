@@ -2,13 +2,11 @@
 Hermitian, skew, time and count checks, the pair order and pair gaps,
 Vandermonde products, the one-dimensional heat kernel, and Pfaffians.
 
-Batches are pair-first inside: pair_gaps gives the gaps of points
-(..., N) as (N(N-1)/2, ...), pair axis first and batch axes last, and the
-Pfaffian kernels take that layout.  _pair_pfaffian reads a Pfaffian of
-order <= 4 straight off the pair values, with no matrix; _pfaffian_batch
-takes stacks (n, n, ...), uses its input as work space for n >= 6 and ends
-its elimination with that same closed form.  The public pfaffian takes
-stacks (..., n, n) and hands _pfaffian_batch a transposed copy."""
+Batches are pair-first inside: pair_gaps gives the gaps of points (..., N)
+as (N(N-1)/2, ...), pair axis first and batch axes last.  _pair_pfaffian,
+the one Pfaffian entry point, takes pair values in that layout at any even
+order; the public pfaffian hands it the upper triangles of checked stacks
+(..., n, n)."""
 
 import functools
 import math
@@ -126,48 +124,64 @@ def heat_kernel(t, x, y):
 
 def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric real or complex matrix
-    (n, n), or of each matrix of a stack (..., n, n), checked first and then
-    evaluated by _pfaffian_batch on one copy with the batch axes last (A is
-    left unchanged).  Returns a scalar for one matrix (a float for real
-    input), an array of shape A.shape[:-2] for a stack.
-    """
+    (n, n), or of each matrix of a stack (..., n, n): checked, then
+    _pair_pfaffian of a copy of its upper triangle (A is left unchanged).
+    A scalar for one matrix (a float for real input), else an array of
+    shape A.shape[:-2]."""
     A = check_skew(A)
     if A.shape[-1] % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
-    pf = _pfaffian_batch(np.moveaxis(A, (-2, -1), (0, 1)).copy())
+    v = np.moveaxis(A, (-2, -1), (0, 1))[pair_index(A.shape[-1])]
+    pf = _pair_pfaffian(v)
     return pf.item() if A.ndim == 2 else pf
 
 
 def _pair_pfaffian(v):
-    """Pfaffian of the antisymmetric matrix of order 0, 2 or 4 whose entries
-    above the diagonal are the pair values v (P, ...), P = 0, 1 or 6, in
-    pair_index order, batch axes last: 1, v01 or v01 v23 - v02 v13 +
-    v03 v12, an array of shape v.shape[1:] that is not a view of v."""
-    if v.shape[0] == 0:
+    """Pfaffian of the antisymmetric matrix of even order m whose entries
+    above the diagonal are the pair values v (m(m-1)/2, ...), pair_index
+    order, batch axes last: an array of shape v.shape[1:], not a view of v.
+    Orders 0, 2 and 4 are read off v: 1, v01 or v01 v23 - v02 v13 + v03 v12;
+    from order 6 _pfaffian_batch eliminates v's _pair_matrix (v is lost)."""
+    p = v.shape[0]
+    if p == 0:
         return np.ones(v.shape[1:], dtype=np.result_type(v.dtype, float))
     # v[k, ...] is an array even for one matrix, so that its products go
     # through the array ufuncs, not the scalar ones
-    if v.shape[0] == 1:
+    if p == 1:
         return v[0, ...].copy()
-    return (v[0, ...] * v[5, ...] - v[1, ...] * v[4, ...]
-            + v[2, ...] * v[3, ...])
+    if p == 6:
+        return (v[0, ...] * v[5, ...] - v[1, ...] * v[4, ...]
+                + v[2, ...] * v[3, ...])
+    m = (1 + math.isqrt(1 + 8 * p)) // 2
+    return _pfaffian_batch(_pair_matrix(v, m))
+
+
+def _pair_matrix(v, m, out=None):
+    """Antisymmetric matrix of order m of the pair values v (m(m-1)/2, ...),
+    pair_index order, batch axes last: shape (m, m, ...), the layout of
+    _pfaffian_batch.  v is overwritten.  out, if given, is a zero array of
+    that shape to fill."""
+    iu, ju = pair_index(m)
+    a = np.zeros((m, m) + v.shape[1:], dtype=v.dtype) if out is None else out
+    a[iu, ju] = v
+    # negated in place, as a product with -1.0: numpy's np.negative is not
+    # vectorized for complex arrays (five times slower on a 100-row drift)
+    a[ju, iu] = np.multiply(v, -1.0, out=v)
+    return a
 
 
 def _pfaffian_batch(a):
     """Pfaffians of a stack (n, n, ...) of skew-symmetric float or complex
-    matrices of even n, batch axes last, unchecked: an array of shape
-    a.shape[2:].  For n >= 6 a is the work space and is overwritten.
+    matrices of even n >= 4, batch axes last, unchecked: an array of shape
+    a.shape[2:].  a is the work space and is overwritten.
 
-    n <= 4: _pair_pfaffian of the entries above the diagonal.  Larger n:
-    skew-symmetric elimination with partial pivoting (Parlett-Reid, as in
+    Skew-symmetric elimination with partial pivoting (Parlett-Reid, as in
     Wimmer, ACM TOMS 38, 2012), in place, one loop over columns for the
     whole stack, down to the last 4 x 4 block; Pf is the signed product of
-    the pivots times _pair_pfaffian of that block.  With the batch axes
-    last every step runs along contiguous rows.
+    the pivots times _pair_pfaffian of that block's pair values.  With the
+    batch axes last every step runs along contiguous rows.
     """
     n = a.shape[0]
-    if n <= 4:
-        return _pair_pfaffian(a[pair_index(n)])
     shape = a.shape[2:]
     a = a.reshape((n, n, -1))
     rows = np.arange(a.shape[-1])
@@ -197,5 +211,5 @@ def _pfaffian_batch(a):
         a[k + 2:, k + 2:] += d
         a[k + 2:, k + 2:] -= d.swapaxes(0, 1)
         del d
-    pf *= _pfaffian_batch(a[n - 4:, n - 4:])
+    pf *= _pair_pfaffian(a[n - 4:, n - 4:][pair_index(4)])
     return pf.reshape(shape)

@@ -560,6 +560,55 @@ class TestBadInput:
         assert says in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,work", [
+        (["verify", "hc", "--samples", "2000", "--seed", "1"],
+         (verify, "run_suite_with_retry")),
+        (["verify", "imhof", "--n", "3", "--seed", "1"],
+         (verify, "run_suite_with_retry")),
+        (["simulate", "--model", "noncolliding", "--n", "3", "--seed", "1"],
+         (cli._SDE_MODELS, "noncolliding")),
+        (["simulate", "--model", "xit", "--n", "3", "--seed", "1"],
+         (paths, "build_matrix_process")),
+        (["density", "--name", "survival", "--t", "1", "--x", "0,2"],
+         (densities, "survival_probability")),
+    ], ids=["verify-hc", "verify-imhof", "simulate-sde", "simulate-xit",
+            "density"])
+    def test_missing_out_dir_refused_before_work(self, tmp_path, capsys,
+                                                 monkeypatch, argv, work):
+        # the suite, simulator or density fails the test if it is called
+        def called(*args, **kwargs):
+            raise AssertionError("ran before the --out refusal")
+
+        owner, name = work
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, name, called)
+        else:
+            monkeypatch.setattr(owner, name, called)
+        out = tmp_path / "missing" / "o"
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or "
+                                       "directory: ")
+        assert captured.err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv,says", [
+        (["--name", "goe", "--t", "1", "--x", "0,1;2,1"],
+         "--x point 2 (2,1): coordinates must be strictly increasing"),
+        (["--name", "survival", "--t", "1", "--x", "0,a"],
+         "--x point 1 (0,a): could not convert string to float: 'a'"),
+        (["--name", "g", "--t", "0.5", "--x", "0,1", "--y", "0,1;1,0"],
+         "--y point 2 (1,0): coordinates must be strictly increasing"),
+        (["--name", "f", "--t", "0.5", "--x", "0,1", "--y", "0,1; 1,b"],
+         "--y point 2 (1,b): could not convert string to float: 'b'"),
+    ], ids=["x-unordered", "x-not-a-number", "y-unordered",
+            "y-not-a-number"])
+    def test_refused_point_is_named(self, capsys, argv, says):
+        # the flag, the place and the text of the refused point
+        assert run(["density", *argv]) == 2
+        assert capsys.readouterr().err == "error: " + says + "\n"
+
     @pytest.mark.parametrize("argv,prefix,flag", [
         (["density", "--n", "gue", "--t", "1", "--x", "0,1"],
          "--n", "--name"),

@@ -170,7 +170,7 @@ class TestSurvival:
             d = np.eye(n)[ju] - np.eye(n)[iu]
             d = d[:, None, :] * g.T[:, :, None]
             v = erf(u).T[:, :, None] + 1j * densities._COMPLEX_STEP * d
-            pf = linalg._pfaffian_batch(densities._pair_matrix(v, n))
+            pf = linalg._pair_pfaffian(densities._fold(v, n))
             np.testing.assert_array_equal(
                 densities.survival_log_gradient(0.8, xs),
                 pf.imag / (densities._COMPLEX_STEP * pf.real))
@@ -598,6 +598,21 @@ class TestFiniteHorizonDensity:
         with pytest.raises(ValueError, match="not positive"):
             densities.finite_horizon_density(T, 0, x, 0.65 * T,
                                              [-1.0, 0.0, 0.5, 1.0])
+
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_origin_form_is_goe_times_survival(self, n):
+        # the origin branch evaluates its survival factor by the same
+        # arithmetic as survival_pfaffian: equal, not just close, for a
+        # batch and one point
+        ys = np.sort(substream(27, n).normal(size=(30, n)), axis=1)
+        T, t = 1.3, 0.45
+        for y in (ys, ys[0]):
+            want = densities.eigenvalue_density("goe", y, t) \
+                * (T / t) ** (n * (n - 1) / 4.0) \
+                * densities.survival_pfaffian(T - t, y)
+            np.testing.assert_array_equal(
+                densities.finite_horizon_density(T, 0, None, t, y), want)
 
 
 class TestEnsembleDensities:

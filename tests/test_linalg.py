@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from mp_reference import mp_erf_matrix, mp_pfaffian
 from noncolbm import densities, linalg
 from noncolbm.rng import substream
 
@@ -65,29 +66,6 @@ def two_product_pfaffian(a):
         a[k + 2:, k + 2:] -= col[:, None] * tau[None, :]
     b = a[n - 4:, n - 4:]
     return pf * (b[0, 1] * b[2, 3] - b[0, 2] * b[1, 3] + b[0, 3] * b[1, 2])
-
-
-def mp_pfaffian(a, mp):
-    """Pfaffian of a skew-symmetric mpmath matrix by Parlett-Reid with
-    partial pivoting, in the working precision of mp."""
-    a = a.copy()
-    n = a.rows
-    pf = mp.mpf(1)
-    for k in range(0, n - 1, 2):
-        kp = max(range(k + 1, n), key=lambda r: abs(a[r, k]))
-        if kp != k + 1:
-            for c in range(n):
-                a[k + 1, c], a[kp, c] = a[kp, c], a[k + 1, c]
-            for r in range(n):
-                a[r, k + 1], a[r, kp] = a[r, kp], a[r, k + 1]
-            pf = -pf
-        piv = a[k, k + 1]
-        pf *= piv
-        for i in range(k + 2, n):
-            for j in range(k + 2, n):
-                a[i, j] += (a[k, i] * a[j, k + 1]
-                            - a[i, k + 1] * a[k, j]) / piv
-    return pf
 
 
 class TestVandermonde:
@@ -212,7 +190,7 @@ class TestPfaffian:
         pf = linalg.pfaffian(a)
         pf[:] = 7.0
         np.testing.assert_array_equal(a, kept)
-        one = linalg._pfaffian_batch(a[0])
+        one = linalg._pair_pfaffian(a[0, 0, 1:])
         one[...] = 7.0
         np.testing.assert_array_equal(a, kept)
 
@@ -234,26 +212,34 @@ class TestOneKernel:
         # same erf matrices (of order N - 1 for odd N, the border folded in)
         # by the same arithmetic
         xs = np.sort(substream(16).normal(size=(30, n)) * 1.5, axis=1)
-        e = np.moveaxis(densities._pair_matrix(
+        e = np.moveaxis(linalg._pair_matrix(densities._fold(
             erf(linalg.pair_gaps(xs) / (2.0 * math.sqrt(0.7))), n),
-            (0, 1), (-2, -1))
+            n - n % 2), (0, 1), (-2, -1))
         np.testing.assert_array_equal(linalg.pfaffian(e),
                                       densities.survival_pfaffian(0.7, xs))
+
+    @pytest.mark.parametrize("dtype", (float, complex))
+    @pytest.mark.parametrize("m", (6, 8, 10))
+    def test_pair_values_entry_is_the_kernel(self, m, dtype):
+        # from order 6 the pair-value entry lays its values out as a stack
+        # and eliminates it: the same bits as the kernel on that stack and
+        # as the checked public entry on the matrices
+        rng = substream(19, m)
+        v = rng.normal(size=(m * (m - 1) // 2, 40)).astype(dtype)
+        if dtype is complex:
+            v.imag = rng.normal(size=v.shape)
+        a = linalg._pair_matrix(v.copy(), m)
+        want = linalg._pfaffian_batch(a.copy())
+        np.testing.assert_array_equal(linalg._pair_pfaffian(v.copy()), want)
+        np.testing.assert_array_equal(
+            linalg.pfaffian(np.moveaxis(a, -1, 0)), want)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_survival_against_high_precision_pfaffian(self, n):
         mp = pytest.importorskip("mpmath")
         x = 3.0 * np.linspace(-1.0, 1.0, n)
         with mp.workdps(40):
-            m = n + n % 2
-            a = mp.matrix(m, m)
-            for i in range(n):
-                if n % 2:
-                    a[i, n], a[n, i] = 1, -1
-                for j in range(i + 1, n):
-                    v = mp.erf((mp.mpf(x[j]) - mp.mpf(x[i])) / 2)
-                    a[i, j], a[j, i] = v, -v
-            ref = float(mp_pfaffian(a, mp))
+            ref = float(mp_pfaffian(mp_erf_matrix(x, 1.0, mp), mp))
         assert densities.survival_pfaffian(1.0, x) == pytest.approx(
             ref, rel=1e-10)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from mp_reference import mp_erf_matrix
 from noncolbm import densities, paths, sde, verify
 from noncolbm.rng import substream
 
@@ -148,16 +149,13 @@ class TestDrift:
             # d_k ln Pf(A) = 1/2 d_k ln det(A) = 1/2 tr(A^-1 d_k A)
             n, s = len(x), mp.mpf(1)
             xm = [mp.mpf(v) for v in x]
-            a = mp.matrix(n + 1, n + 1)
             g = mp.matrix(n, n)
             for i in range(n):
-                a[i, n], a[n, i] = 1, -1
                 for j in range(n):
-                    u = (xm[j] - xm[i]) / (2 * mp.sqrt(s))
-                    a[i, j] = mp.erf(u)
                     if i != j:
+                        u = (xm[j] - xm[i]) / (2 * mp.sqrt(s))
                         g[i, j] = mp.exp(-u * u) / mp.sqrt(mp.pi * s)
-            inv = a ** -1
+            inv = mp_erf_matrix(x, s, mp) ** -1
             ref = np.array([float(mp.fsum(inv[k, j] * g[k, j]
                                           for j in range(n)))
                             for k in range(n)])
