@@ -137,7 +137,8 @@ def _configure(args, config):
     """The effective configuration of args.command: its subject, every
     option, each checked against its bound (see _COMMANDS) once all are
     resolved, and the seed (flag, config, NONCOLBM_SEED, fresh entropy).
-    Prints the seed and the configuration's digest."""
+    Then a density's points, parsed into args.points.  Prints the seed and
+    the configuration's digest once every input is accepted."""
     _, subject, _, options = _COMMANDS[args.command]
     subject = subject.lstrip("-")
     cfg = {"command": args.command, subject: getattr(args, subject)}
@@ -159,6 +160,8 @@ def _configure(args, config):
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
     cfg["seed"] = seed
+    if args.command == "density":
+        args.points = _density_points(cfg["name"], args)
     print("seed", seed, "digest", _digest(cfg))
     return cfg
 
@@ -250,7 +253,7 @@ def cmd_density(args, cfg):
         return [densities.eigenvalue_density(name, x, t)]
 
     # one row per point: its coordinates, then its value(s)
-    xs, ys = _density_points(name, args)
+    xs, ys = args.points
     rows = [([] if x is None else list(x)) + values(x, y)
             for x in xs for y in (ys if name in ("f", "p", "g") else [None])]
     columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
@@ -346,8 +349,8 @@ def main(argv=None):
     CLI or the library, which is printed as one "error: ..." line."""
     args = build_parser().parse_args(argv)
     try:
-        if args.out:   # refuse an --out in a missing directory before work
-            os.stat(os.path.dirname(os.path.abspath(args.out)))
+        if args.out:   # before any work: stat of "<dir>/" refuses a file too
+            os.stat(os.path.dirname(os.path.abspath(args.out)) + os.sep)
         config = _load_config(args.config) if args.config else {}
         # looked up when called, so that a wrapper set on cmd_* is the one run
         return globals()["cmd_" + args.command](args, _configure(args, config))

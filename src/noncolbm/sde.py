@@ -12,12 +12,15 @@ minimizer of a strictly convex function on the Weyl chamber and never
 leaves it (Ngo & Taguchi, "Semi-implicit Euler-Maruyama approximation for
 noncolliding particle systems", Ann. Appl. Probab. 30, 2020).  All live
 replicates are solved together by damped Newton.  Newton starts from the
-two-particle solution of each adjacent gap followed by one fixed-point
-sweep y <- a + dt D(y), which brings in the non-adjacent pairs (skipped at
-N <= 2, where the pair start is exact; kept only on rows it leaves strictly
-ordered).  It runs on a working set of the unconverged rows that only
-shrinks.  A simulate call draws every replicate from one RNG stream, so
-its paths depend on the replicate count as well as on the seed.
+two-particle solution of each adjacent gap, the root G = (g + sqrt(g^2 +
+8 dt)) / 2 of G = g + 2 dt / G, taken as (s / 2) exp(asinh(g / s)) with
+s = sqrt(8 dt): with g = s sinh(u) the root is (s / 2)(sinh(u) + cosh(u)),
+and no difference can cancel.  One fixed-point sweep y <- a + dt D(y) then
+brings in the non-adjacent pairs (skipped at N <= 2, where the pair start
+is exact; kept only on rows it leaves strictly ordered).  It runs on a
+working set of the unconverged rows that only shrinks.  A simulate call
+draws every replicate from one RNG stream, so its paths depend on the
+replicate count as well as on the seed.
 """
 
 import math
@@ -130,25 +133,16 @@ def _backtrack(y, a, p, lam2, dt):
     return out
 
 
-def _pair_start(a, dt):
-    """Strictly ordered start for implicit_step: each adjacent gap solves
-    the two-particle equation G = g + 2 dt / G for its gap g in a (exact at
-    N = 2), and the mean is that of a, which the solution keeps."""
-    g = np.diff(a, axis=-1)
-    r = np.hypot(g, math.sqrt(8.0 * dt))
-    gap = np.where(g > 0, 0.5 * (g + r), 4.0 * dt / (r - g))   # no cancelling
-    c = np.concatenate([np.zeros(a.shape[:-1] + (1,)),
-                        np.cumsum(gap, axis=-1)], axis=-1)
-    return a.mean(-1, keepdims=True) + c - c.mean(-1, keepdims=True)
-
-
 def _start(a, dt):
-    """Strictly ordered Newton start for implicit_step: _pair_start, then
-    one fixed-point sweep a + dt D(y) on each row where the sweep stays
-    strictly ordered.  The pair start ignores every non-adjacent pair; one
-    sweep brings them in, more sweeps overshoot on clustered rows.  At
-    N <= 2 the pair start is already exact and is returned as it is."""
-    y = _pair_start(a, dt)
+    """Strictly ordered Newton start for implicit_step: the two-particle
+    gaps of the module docstring with the mean of a, which they keep, then
+    one sweep a + dt D(y) on each row it leaves strictly ordered (more
+    sweeps overshoot on clustered rows; at N <= 2 the gaps are exact)."""
+    s = math.sqrt(8.0 * dt)
+    gap = np.exp(np.arcsinh(np.diff(a, axis=-1) / s)) * (0.5 * s)
+    y = np.zeros(a.shape)
+    np.cumsum(gap, axis=-1, out=y[:, 1:])
+    y += a.mean(-1, keepdims=True) - y.mean(-1, keepdims=True)
     if a.shape[-1] > 2:
         sweep = a + dt * dyson_drift(y)
         ordered = (sweep[:, 1:] > sweep[:, :-1]).all(-1)

@@ -487,6 +487,23 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert p.stdout.strip() == "False"
 
 
+# commands with an --out, and the work (owner, name) each runs
+WORK = [
+    (["verify", "hc", "--samples", "2000", "--seed", "1"],
+     (verify, "run_suite_with_retry")),
+    (["verify", "imhof", "--n", "3", "--seed", "1"],
+     (verify, "run_suite_with_retry")),
+    (["simulate", "--model", "noncolliding", "--n", "3", "--seed", "1"],
+     (cli._SDE_MODELS, "noncolliding")),
+    (["simulate", "--model", "xit", "--n", "3", "--seed", "1"],
+     (paths, "build_matrix_process")),
+    (["density", "--name", "survival", "--t", "1", "--x", "0,2"],
+     (densities, "survival_probability")),
+]
+WORK_IDS = ["verify-hc", "verify-imhof", "simulate-sde", "simulate-xit",
+            "density"]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("text", [None, "n 3\n", "n = two\n",
                                       "steps = 8\nhorizon = long\n"],
@@ -560,22 +577,9 @@ class TestBadInput:
         assert says in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,work", [
-        (["verify", "hc", "--samples", "2000", "--seed", "1"],
-         (verify, "run_suite_with_retry")),
-        (["verify", "imhof", "--n", "3", "--seed", "1"],
-         (verify, "run_suite_with_retry")),
-        (["simulate", "--model", "noncolliding", "--n", "3", "--seed", "1"],
-         (cli._SDE_MODELS, "noncolliding")),
-        (["simulate", "--model", "xit", "--n", "3", "--seed", "1"],
-         (paths, "build_matrix_process")),
-        (["density", "--name", "survival", "--t", "1", "--x", "0,2"],
-         (densities, "survival_probability")),
-    ], ids=["verify-hc", "verify-imhof", "simulate-sde", "simulate-xit",
-            "density"])
-    def test_missing_out_dir_refused_before_work(self, tmp_path, capsys,
-                                                 monkeypatch, argv, work):
-        # the suite, simulator or density fails the test if it is called
+    @staticmethod
+    def _fail_on_work(monkeypatch, work):
+        """Make the suite, simulator or density fail the test if called."""
         def called(*args, **kwargs):
             raise AssertionError("ran before the --out refusal")
 
@@ -584,6 +588,11 @@ class TestBadInput:
             monkeypatch.setitem(owner, name, called)
         else:
             monkeypatch.setattr(owner, name, called)
+
+    @pytest.mark.parametrize("argv,work", WORK, ids=WORK_IDS)
+    def test_missing_out_dir_refused_before_work(self, tmp_path, capsys,
+                                                 monkeypatch, argv, work):
+        self._fail_on_work(monkeypatch, work)
         out = tmp_path / "missing" / "o"
         assert run([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -592,6 +601,20 @@ class TestBadInput:
                                        "directory: ")
         assert captured.err.count("\n") == 1
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv,work", WORK, ids=WORK_IDS)
+    def test_out_under_a_file_refused_before_work(self, tmp_path, capsys,
+                                                  monkeypatch, argv, work):
+        self._fail_on_work(monkeypatch, work)
+        under = tmp_path / "file"
+        under.write_text("kept\n")
+        out = under / "o"
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 20] Not a directory: ")
+        assert captured.err.count("\n") == 1
+        assert under.read_text() == "kept\n"
 
     @pytest.mark.parametrize("argv,says", [
         (["--name", "goe", "--t", "1", "--x", "0,1;2,1"],
@@ -605,9 +628,18 @@ class TestBadInput:
     ], ids=["x-unordered", "x-not-a-number", "y-unordered",
             "y-not-a-number"])
     def test_refused_point_is_named(self, capsys, argv, says):
-        # the flag, the place and the text of the refused point
+        # the flag, the place and the text of the refused point, refused
+        # before the seed line
         assert run(["density", *argv]) == 2
-        assert capsys.readouterr().err == "error: " + says + "\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + says + "\n"
+        assert captured.out == ""
+
+    def test_accepted_density_prints_seed_line_first(self, capsys):
+        assert run(["density", "--name", "g", "--t", "0.5", "--x", "0,1",
+                    "--y", "0,1;1,2", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("seed 3 digest ") and len(lines) == 3
 
     @pytest.mark.parametrize("argv,prefix,flag", [
         (["density", "--n", "gue", "--t", "1", "--x", "0,1"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,21 @@ class TestIntegration:
         res = sde.simulate_dyson(cfg, 1.0, seed=43, reps=4)
         np.testing.assert_array_equal(res.states[:, 0, :],
                                       np.tile([-1.0, 1.0], (4, 1)))
+
+    @pytest.mark.parametrize("dt,start,t_end", [
+        (1e-12, [0.0, 300.0], 4e-12),
+        (None, [0.0, 1e7, 3e7], 4 / 1024),
+    ], ids=["dt-1e-12", "default-dt"])
+    def test_wide_gaps_step_without_warning(self, dt, start, t_end):
+        # adjacent gaps beyond 2.7e8 sqrt(dt), where sqrt(g^2 + 8 dt)
+        # rounds to g: the Newton start divides by no difference there
+        cfg = sde.SDEConfig(n=len(start), horizon=1.0, dt=dt, start=start)
+        for simulate in (sde.simulate_dyson, sde.simulate_noncolliding):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = simulate(cfg, t_end, seed=1, reps=4)
+            assert res.failed.sum() == 0
+            assert (np.diff(res.states, axis=-1) > 0).all()
 
     def test_dyson_endpoint_matches_gue_marginal(self):
         t_end, reps = 1.0, 4_000
@@ -428,6 +444,19 @@ class TestImplicitStep:
         y, ok = sde.implicit_step(a, self.DT)
         assert ok.all()
         assert calls[0] == 1
+
+    def test_two_particle_start_against_high_precision_root(self):
+        # at N = 2 the start is the root (g + sqrt(g^2 + 8 dt)) / 2 of
+        # G = g + 2 dt / G; a centred on 0 keeps the gaps exact
+        mp = pytest.importorskip("mpmath")
+        g = np.array([-1e6, -10.0, -1e-3, 0.0, 1e-3, 10.0, 1e6, 1e9]) \
+            * math.sqrt(self.DT)
+        y = sde._start(np.stack([-0.5 * g, 0.5 * g], axis=-1), self.DT)
+        with mp.workdps(50):
+            ref = np.array([float((mp.mpf(v) + mp.sqrt(
+                mp.mpf(v) ** 2 + 8 * mp.mpf(self.DT))) / 2) for v in g])
+        np.testing.assert_allclose(y[:, 1] - y[:, 0], ref,
+                                   rtol=16 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_start_is_ordered_on_reversed_neighbours(self, n):
