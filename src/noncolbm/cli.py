@@ -74,18 +74,19 @@ def _parse_points(flag, s):
 
 
 def _density_points(name, args):
-    """The --x and --y points of a density query, [None] for an absent flag.
-    ValueError for a refused point (_parse_points), --x points of different
-    lengths, or a point the named density needs but was not given."""
+    """The --x and --y points of a density query, [None] for an absent flag
+    and for --y when the named density takes none.  ValueError for a
+    refused point (_parse_points), --x points of different lengths, or a
+    point the named density needs (see _DENSITIES) but was not given."""
+    needs = _DENSITIES[name][0]
     xs = _parse_points("--x", args.x or "") or [None]
     ys = _parse_points("--y", args.y or "") or [None]
-    if name in ("f", "survival", "gue", "goe") and xs[0] is None:
-        raise ValueError("--name %s needs --x" % name)
-    if name in ("f", "p", "g") and ys[0] is None:
-        raise ValueError("--name %s needs --y" % name)
+    for flag, points in zip("xy", (xs, ys)):
+        if flag in needs and points[0] is None:
+            raise ValueError("--name %s needs --%s" % (name, flag))
     if len({x.size for x in xs if x is not None}) > 1:
         raise ValueError("--x points differ in length")
-    return xs, ys
+    return xs, (ys if "y" in needs else [None])
 
 
 def _load_config(path):
@@ -137,8 +138,9 @@ def _configure(args, config):
     """The effective configuration of args.command: its subject, every
     option, each checked against its bound (see _COMMANDS) once all are
     resolved, and the seed (flag, config, NONCOLBM_SEED, fresh entropy).
-    Then a density's points, parsed into args.points.  Prints the seed and
-    the configuration's digest once every input is accepted."""
+    Then the marginals suite's cap on --n and a density's points, parsed
+    into args.points.  Prints the seed and the configuration's digest once
+    every input is accepted."""
     _, subject, _, options = _COMMANDS[args.command]
     subject = subject.lstrip("-")
     cfg = {"command": args.command, subject: getattr(args, subject)}
@@ -160,6 +162,9 @@ def _configure(args, config):
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
     cfg["seed"] = seed
+    if cfg.get("suite") == "marginals" and cfg["n"] > verify.MARGINALS_MAX_N:
+        raise ValueError("--n must be at most %d for the marginals suite, "
+                         "got %d" % (verify.MARGINALS_MAX_N, cfg["n"]))
     if args.command == "density":
         args.points = _density_points(cfg["name"], args)
     print("seed", seed, "digest", _digest(cfg))
@@ -169,12 +174,11 @@ def _configure(args, config):
 def _write_csv(path, header_cfg, columns, tables, times=None):
     """Write the CSV file path: the configuration and its digest as "#"
     lines, the column names, then the rows of each (rows, colmap) table that
-    tables yields, in turn, as _csv_lines writes them.  When the first column
-    is "rep", each table is one replicate and its rows start with its index
-    (str(r), which is "%.17g" of r).  times, when given, is the next column
-    of every table, one value per row, formatted once for all of them.  A
-    table is formatted as it arrives, so a generator of them holds one at a
-    time."""
+    tables yields, in turn, as _csv_lines writes them.  Each row is led by
+    its time when times is given (formatted once for all tables), and before
+    that by its table's index (str(r), "%.17g" of r) when columns[0] is
+    "rep", which comes with times.  A table is formatted as it arrives, so a
+    generator of them holds one at a time."""
     indexed = columns[0] == "rep"
     text = None if times is None else ["%.17g" % t for t in times.tolist()]
     with open(path, "w", newline="\n") as fh:
@@ -182,10 +186,7 @@ def _write_csv(path, header_cfg, columns, tables, times=None):
             json.dumps(header_cfg, sort_keys=True), _digest(header_cfg)))
         fh.write(",".join(columns) + "\n")
         for r, (rows, colmap) in enumerate(tables):
-            leads = text
-            if indexed:
-                leads = (["%d" % r] * rows.shape[0] if text is None
-                         else ["%d,%s" % (r, t) for t in text])
+            leads = ["%d,%s" % (r, t) for t in text] if indexed else text
             fh.writelines(_csv_lines(rows, colmap, leads))
 
 
@@ -235,31 +236,34 @@ def cmd_simulate(args, cfg):
     return 0
 
 
+# Each density --name: the points it needs ("x", "y"), and its value at one
+# (x, y) under the effective configuration c, a float or an MCEstimate
+_DENSITIES = {
+    "f": ("xy", lambda c, x, y: densities.transition_density(c["t"], x, y)),
+    "survival": ("x", lambda c, x, y: densities.survival_probability(
+        c["t"], x, method=c["method"], rng=substream(c["seed"]))),
+    "p": ("y", lambda c, x, y: densities.h_transform_density(
+        c["s"], x, c["t"], y)),
+    "g": ("y", lambda c, x, y: densities.finite_horizon_density(
+        c["horizon"], c["s"], x, c["t"], y)),
+    **dict.fromkeys(("gue", "goe"), ("x", lambda c, x, y:
+                    densities.eigenvalue_density(c["name"], x, c["t"]))),
+}
+
+
 def cmd_density(args, cfg):
-    name, t, s, T, method, seed = (cfg[k] for k in (
-        "name", "t", "s", "horizon", "method", "seed"))
+    evaluate = _DENSITIES[cfg["name"]][1]
 
     def values(x, y):
-        if name == "f":
-            return [densities.transition_density(t, x, y)]
-        if name == "p":
-            return [densities.h_transform_density(s, x, t, y)]
-        if name == "g":
-            return [densities.finite_horizon_density(T, s, x, t, y)]
-        if name == "survival":
-            v = densities.survival_probability(t, x, method=method,
-                                               rng=substream(seed))
-            return [v.mean, v.se] if method == "montecarlo" else [v]
-        return [densities.eigenvalue_density(name, x, t)]
+        v = evaluate(cfg, x, y)
+        return [v.mean, v.se] if isinstance(v, densities.MCEstimate) else [v]
 
-    # one row per point: its coordinates, then its value(s)
+    # one row per point: its coordinates, then its value (and its se)
     xs, ys = args.points
     rows = [([] if x is None else list(x)) + values(x, y)
-            for x in xs for y in (ys if name in ("f", "p", "g") else [None])]
+            for x in xs for y in ys]
     columns = [] if xs[0] is None else [f"x{i+1}" for i in range(xs[0].size)]
-    columns.append("value")
-    if name == "survival" and method == "montecarlo":
-        columns.append("se")
+    columns += ["value", "se"][:len(rows[0]) - len(columns)]
     data = np.array(rows, dtype=float)
     if args.out:
         _write_csv(args.out, cfg, columns, [(data, None)])
@@ -277,10 +281,6 @@ _SUITES = {"hc": (verify.hc_suite, {"samples": "samples"}),
 
 def cmd_verify(args, cfg):
     suite_fn, sizes = _SUITES[cfg["suite"]]
-    if (suite_fn is verify.marginals_suite
-            and cfg["n"] > verify.MARGINALS_MAX_N):
-        raise ValueError("--n must be at most %d for the %s suite, got %d"
-                         % (verify.MARGINALS_MAX_N, cfg["suite"], cfg["n"]))
     report = verify.run_suite_with_retry(
         suite_fn, cfg["seed"], **{k: cfg[v] for k, v in sizes.items()})
     report["schema_version"] = 1
@@ -307,7 +307,7 @@ _COMMANDS = {
                  {"n": (2, 0), "horizon": (1.0, 0), "steps": (256, 0),
                   "reps": (1, 0)}),
     "density": ("evaluate a named density", "--name",
-                ("f", "survival", "p", "g", "gue", "goe"),
+                tuple(_DENSITIES),
                 {"t": (1.0, None), "s": (0.0, None), "horizon": (1.0, None),
                  "method": ("pfaffian",
                             ("pfaffian", "quadrature", "montecarlo"))}),

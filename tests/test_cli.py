@@ -350,11 +350,17 @@ class TestDensity:
         ["--name", "goe", "--t", "2.0"],
         ["--name", "f", "--x", "0,1"],
         ["--name", "survival", "--x", "0,a"],
+        ["--name", "p", "--x", "0,1"],
+        ["--name", "g", "--x", "0,1"],
+        ["--name", "survival", "--y", "0,1"],
     ], ids=["unequal-lengths", "gue-no-x", "goe-no-x", "f-no-y",
-            "not-a-number"])
+            "not-a-number", "p-no-y", "g-no-y", "survival-no-x"])
     def test_malformed_points_exit_two(self, capsys, argv):
+        # refused before the seed line
         assert run(["density", *argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["pfaffian", "quadrature",
@@ -472,6 +478,26 @@ class TestVerify:
         assert report["retried"]
         json.dumps(report)
 
+    def test_failed_suite_exits_one(self, tmp_path, capsys, monkeypatch):
+        # both attempts fail: the report, retried, is still printed and
+        # written, and stderr names the failed tests
+        def fails(seed, samples):
+            tests = [{"name": "first", "pass": False},
+                     {"name": "second", "pass": True},
+                     {"name": "third", "pass": False}]
+            return verify._report("hc", tests, 0, samples=samples, seed=seed)
+
+        monkeypatch.setitem(cli._SUITES, "hc", (fails, {"samples": "samples"}))
+        out = tmp_path / "report.json"
+        assert run(["verify", "hc", "--samples", "20", "--seed", "4",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FAILED: first; third\n"
+        report = json.loads(out.read_text())
+        assert report["retried"] is True and report["passed"] is False
+        assert report["first_attempt"]["seed"] == 4
+        assert captured.out.split("\n", 1)[1] == out.read_text()
+
 
 def test_cli_import_leaves_out_scipy_integrate():
     # a fresh interpreter, since scipy.stats in the test modules loads
@@ -536,9 +562,12 @@ class TestBadInput:
         ["hc", "--samples", "1"], ["densities", "--samples", "0"]],
         ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
     def test_verify_bad_size_refused(self, tmp_path, capsys, argv):
+        # refused before the seed line, the marginals cap on --n included
         out = tmp_path / "r.json"
         assert run(["verify", *argv, "--seed", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: " + argv[-2])
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + argv[-2])
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,says", [

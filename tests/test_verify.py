@@ -287,6 +287,15 @@ class TestSuites:
                                     dt=1.0 / 512)
         assert report["passed"]
 
+    def test_imhof_one_particle_normalization_is_exact(self):
+        # at n = 1 every weight is the constant c1/c2, one ulp off 1, so the
+        # standard error is rounding and a 3-se gate would fail on it
+        report = verify.imhof_suite(n=1, horizon=1.0, reps=50, seed=1)
+        norm = report["tests"][0]
+        assert norm["name"] == "normalization"
+        assert norm["se"] < 1e-15 and norm["pass"]
+        assert report["passed"]
+
     def test_density_identities_have_power(self, monkeypatch):
         # each identity compares an origin form (an ensemble density) with a
         # general-start formula (Karlin-McGregor determinant and survival
