@@ -74,19 +74,21 @@ def _parse_points(flag, s):
 
 
 def _density_points(name, args):
-    """The --x and --y points of a density query, [None] for an absent flag
-    and for --y when the named density takes none.  ValueError for a
-    refused point (_parse_points), --x points of different lengths, or a
-    point the named density needs (see _DENSITIES) but was not given."""
+    """The --x and --y points of a density query, [None] for an absent flag.
+    ValueError for a refused point (_parse_points), --x points of different
+    lengths, a point the named density needs (see _DENSITIES) but was not
+    given, or a --y given to a density that takes none."""
     needs = _DENSITIES[name][0]
     xs = _parse_points("--x", args.x or "") or [None]
     ys = _parse_points("--y", args.y or "") or [None]
     for flag, points in zip("xy", (xs, ys)):
         if flag in needs and points[0] is None:
             raise ValueError("--name %s needs --%s" % (name, flag))
+    if args.y is not None and "y" not in needs:
+        raise ValueError("--name %s takes no --y" % name)
     if len({x.size for x in xs if x is not None}) > 1:
         raise ValueError("--x points differ in length")
-    return xs, (ys if "y" in needs else [None])
+    return xs, ys
 
 
 def _load_config(path):

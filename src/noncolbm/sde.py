@@ -18,9 +18,16 @@ s = sqrt(8 dt): with g = s sinh(u) the root is (s / 2)(sinh(u) + cosh(u)),
 and no difference can cancel.  One fixed-point sweep y <- a + dt D(y) then
 brings in the non-adjacent pairs (skipped at N <= 2, where the pair start
 is exact; kept only on rows it leaves strictly ordered).  It runs on a
-working set of the unconverged rows that only shrinks.  A simulate call
-draws every replicate from one RNG stream, so its paths depend on the
-replicate count as well as on the seed.
+working set of the unconverged rows that only shrinks, held
+coordinate-first, (n, m) with the batch axis last, so that every
+operation runs along contiguous rows of the batch.  Each Newton system,
+(I + dt L) p = -g with L the graph Laplacian of the weights
+1 / (y_i - y_j)^2, is solved by Gaussian elimination without pivoting, in
+place, for the whole working set at once: I + dt L is strictly diagonally
+dominant (its diagonal 1 + dt sum_j w_ij exceeds its off-diagonal row sum
+dt sum_j w_ij by 1), so no pivot is 0 and no multiplier exceeds 1.  A
+simulate call draws every replicate from one RNG stream, so its paths
+depend on the replicate count as well as on the seed.
 """
 
 import math
@@ -89,43 +96,54 @@ class SimResult:
         return self.states[:, k, :]
 
 
-def _inverse_differences(x):
-    """1 / (x_i - x_j) over a batch (m, n, n), with 0 on the diagonal."""
-    diff = x[:, :, None] - x[:, None, :]
-    np.einsum("mii->mi", diff)[:] = np.inf
-    return 1.0 / diff
+def _diagonal(a):
+    """The writable view (n, m) of the diagonals of a C-ordered stack
+    (n, n, m), batch axis last."""
+    n, _, m = a.shape
+    return a.reshape(n * n, m)[::n + 1]
+
+
+def _inverse_differences(x, out=None):
+    """1 / (x_i - x_j) over a batch x (n, m), coordinate axis first: a stack
+    (n, n, m), batch axis last, with 0 on the diagonal.  out, if given, is
+    a C-ordered array of that shape to fill."""
+    n, m = x.shape
+    d = np.subtract(x[:, None], x,
+                    out=np.empty((n, n, m)) if out is None else out)
+    _diagonal(d)[:] = np.inf
+    return np.divide(1.0, d, out=d)
 
 
 def dyson_drift(x):
     """Pairwise repulsion sum_{j != i} 1 / (x_i - x_j), batched (m, n)."""
-    return np.einsum("mij->mi", _inverse_differences(np.atleast_2d(x)))
+    return _inverse_differences(np.atleast_2d(x).T).sum(1).T
 
 
 def _phi(y, a, dt):
-    """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (m, n)."""
-    iu, ju = linalg.pair_index(y.shape[-1])
-    return (0.5 * ((y - a) ** 2).sum(-1)
-            - dt * np.log(y[:, ju] - y[:, iu]).sum(-1))
+    """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (n, m)."""
+    iu, ju = linalg.pair_index(y.shape[0])
+    return 0.5 * ((y - a) ** 2).sum(0) - dt * np.log(y[ju] - y[iu]).sum(0)
 
 
 def _backtrack(y, a, p, lam2, dt):
-    """Damped Newton update of each row of y along p.  The step starts at
-    the largest that keeps every gap positive (shrunk by _TO_BOUNDARY, at
-    most 1) and is halved until _phi falls by the Armijo share of the
-    decrement.  A row with no such step within the cap stays where it is."""
-    gap, dgap = np.diff(y, axis=-1), np.diff(p, axis=-1)
+    """Damped Newton update of each column of y (n, m) along p.  The step
+    starts at the largest that keeps every gap positive (shrunk by
+    _TO_BOUNDARY, at most 1) and is halved until _phi falls by the Armijo
+    share of the decrement.  A column with no such step within the cap
+    stays where it is."""
+    gap, dgap = np.diff(y, axis=0), np.diff(p, axis=0)
     with np.errstate(divide="ignore"):
         wall = np.where(dgap < 0, gap / -dgap, np.inf)
-    s = np.minimum(1.0, _TO_BOUNDARY * wall.min(-1, initial=np.inf))
+    s = np.minimum(1.0, _TO_BOUNDARY * wall.min(0, initial=np.inf))
     f0 = _phi(y, a, dt)
     out = y.copy()
-    rows = np.arange(y.shape[0])
+    rows = np.arange(y.shape[1])
     for _ in range(_MAX_HALVINGS):
-        trial = y[rows] + s[rows, None] * p[rows]
+        trial = y[:, rows] + s[rows] * p[:, rows]
         with np.errstate(invalid="ignore"):
-            good = _phi(trial, a[rows], dt) \
+            good = _phi(trial, a[:, rows], dt) \
                 <= f0[rows] - _ARMIJO * s[rows] * lam2[rows]
-        out[rows[good]] = trial[good]
+        out[:, rows[good]] = trial[:, good]
         rows = rows[~good]
         if rows.size == 0:
             break
@@ -134,20 +152,60 @@ def _backtrack(y, a, p, lam2, dt):
 
 
 def _start(a, dt):
-    """Strictly ordered Newton start for implicit_step: the two-particle
-    gaps of the module docstring with the mean of a, which they keep, then
-    one sweep a + dt D(y) on each row it leaves strictly ordered (more
-    sweeps overshoot on clustered rows; at N <= 2 the gaps are exact)."""
+    """Strictly ordered Newton start for implicit_step, batched (n, m): the
+    two-particle gaps of the module docstring with the mean of a, which
+    they keep, then one sweep a + dt D(y) on each column it leaves strictly
+    ordered (more sweeps overshoot on clustered rows; at N <= 2 the gaps
+    are exact)."""
     s = math.sqrt(8.0 * dt)
-    gap = np.exp(np.arcsinh(np.diff(a, axis=-1) / s)) * (0.5 * s)
+    gap = np.exp(np.arcsinh(np.diff(a, axis=0) / s)) * (0.5 * s)
     y = np.zeros(a.shape)
-    np.cumsum(gap, axis=-1, out=y[:, 1:])
-    y += a.mean(-1, keepdims=True) - y.mean(-1, keepdims=True)
-    if a.shape[-1] > 2:
-        sweep = a + dt * dyson_drift(y)
-        ordered = (sweep[:, 1:] > sweep[:, :-1]).all(-1)
-        y = np.where(ordered[:, None], sweep, y)
+    np.cumsum(gap, axis=0, out=y[1:])
+    y += a.mean(0) - y.mean(0)
+    if a.shape[0] > 2:
+        sweep = a + dt * _inverse_differences(y).sum(1)
+        ordered = (sweep[1:] > sweep[:-1]).all(0)
+        y = np.where(ordered, sweep, y)
     return y
+
+
+def _newton_system(y, a, dt):
+    """The Newton systems of _phi at y (n, m), and its gradients
+    g = y - a - dt D(y) (n, m).  The systems are a stack (n + 1, n, m),
+    batch axis last: the rows of the Hessian I + dt L, which fill the
+    buffer of _inverse_differences, then the right side -g."""
+    n, m = y.shape
+    s = np.empty((n + 1, n, m))
+    h = _inverse_differences(y, out=s[:n])
+    g = y - a - dt * h.sum(1)
+    np.negative(g, out=s[n])
+    h *= h
+    diagonal = 1.0 + dt * h.sum(1)
+    h *= -dt
+    _diagonal(h)[:] = diagonal
+    return s, g
+
+
+def _solve(s):
+    """Solve the systems h x = b of a stack s (n + 1, n, m), batch axis
+    last, whose rows are those of a symmetric, strictly diagonally dominant
+    h and then b, in place: returns the view s[n], then holding x.
+
+    s is [h | b] transposed.  Gaussian elimination runs on it without
+    pivoting, one loop over its columns (the rows of s) for the whole
+    stack, dividing each pivot row by its pivot; back substitution then
+    needs no division.  Strict diagonal dominance passes to every Schur
+    complement, so no pivot is 0 and no multiplier exceeds 1 (Golub & Van
+    Loan, Matrix Computations, 4th ed., section 3.4.10)."""
+    n = s.shape[1]
+    for k in range(n - 1):
+        s[k + 1:, k] /= s[k, k]
+        s[k + 1:, k + 1:] -= s[k + 1:, k, None] * s[k, k + 1:]
+    x = s[n]
+    x[n - 1] /= s[n - 1, n - 1]
+    for k in range(n - 1, 0, -1):
+        x[:k] -= s[k, :k] * x[k]
+    return x
 
 
 def implicit_step(a, dt):
@@ -155,53 +213,56 @@ def implicit_step(a, dt):
 
     y minimizes _phi(y) = |y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), which
     is strictly convex on the Weyl chamber with Hessian I + dt L, L the graph
-    Laplacian with weights 1 / (y_i - y_j)^2.  Newton starts from _start
-    and solves the stack of Newton systems of the working set at once: the
+    Laplacian with weights w_ij = 1 / (y_i - y_j)^2.  The Newton working
+    set is held coordinate-first, (n, m) with the batch axis last: the
     iterates, targets, tolerances and batch indices of the unconverged
     rows, compacted only when a row converges or turns non-finite, which is
-    also when its iterate is written out.  Every iterate is strictly
-    ordered and lowers _phi.  Returns (y, converged); a row that ends
-    non-finite or unconverged after the iteration cap has converged False.
+    also when its iterate is written out.  Newton starts from _start.  Each
+    pass builds the Hessians in the buffer (n, n, m) of the inverse
+    differences (_newton_system) and solves them by _solve, elimination
+    without pivoting: I + dt L is strictly diagonally dominant, its
+    diagonal 1 + dt sum_j w_ij exceeding its off-diagonal row sum
+    dt sum_j w_ij by 1.  Every iterate is strictly ordered and lowers _phi.
+    Returns (y, converged); a row that ends non-finite or unconverged after
+    the iteration cap has converged False.
     """
     m, n = a.shape
+    a = np.ascontiguousarray(a.T)
     y = _start(a, dt)
     # the rounding floor of lam2: g = y - a - dt D(y) is known to about
     # eps times the size of its terms
     tol = dt * _NEWTON_TOL + (8.0 * n * np.finfo(float).eps * np.maximum(
-        np.abs(a), np.abs(y)).max(-1, initial=0.0)) ** 2
+        np.abs(a), np.abs(y)).max(0, initial=0.0)) ** 2
     converged = np.zeros(m, dtype=bool)
     rows, ya, aa = np.arange(m), y, a
     for _ in range(_NEWTON_MAX_ITER):
         if rows.size == 0:
             break
-        inv = _inverse_differences(ya)
-        g = ya - aa - dt * np.einsum("mij->mi", inv)
-        w = inv * inv
-        h = -dt * w
-        np.einsum("mii->mi", h)[:] = 1.0 + dt * np.einsum("mij->mi", w)
-        p = np.linalg.solve(h, -g[..., None])[..., 0]
-        lam2 = -(g * p).sum(-1)   # squared Newton decrement
+        s, g = _newton_system(ya, aa, dt)
+        p = _solve(s)
+        lam2 = -(g * p).sum(0)   # squared Newton decrement
         # Inside the quadratic-convergence region (decrement of _phi / dt,
         # which is self-concordant, at most 1/4) the full step stays in the
         # chamber and lowers _phi; it is taken without a line search, which
         # rounding in _phi would stall near the solution.
         full = ya + p
-        take = (lam2 <= dt / 16.0) & (full[:, 1:] > full[:, :-1]).all(-1)
-        ya = np.where(take[:, None], full, ya)
+        take = (lam2 <= dt / 16.0) & (full[1:] > full[:-1]).all(0)
+        ya = np.where(take, full, ya)
         done = take & (lam2 <= tol)
         finite = np.isfinite(lam2)
         damp = finite & ~take
         if damp.any():
-            ya[damp] = _backtrack(ya[damp], aa[damp], p[damp], lam2[damp],
-                                  dt)
+            ya[:, damp] = _backtrack(ya[:, damp], aa[:, damp], p[:, damp],
+                                     lam2[damp], dt)
         leave = done | ~finite
         if leave.any():
-            y[rows[leave]] = ya[leave]
+            y[:, rows[leave]] = ya[:, leave]
             converged[rows[done]] = True
             stay = ~leave
-            rows, ya, aa, tol = rows[stay], ya[stay], aa[stay], tol[stay]
-    y[rows] = ya   # the rows that reached the iteration cap
-    return y, converged
+            rows, ya, aa, tol = rows[stay], ya[:, stay], aa[:, stay], \
+                tol[stay]
+    y[:, rows] = ya   # the rows that reached the iteration cap
+    return y.T, converged
 
 
 def _integrate(cfg, t_end, seed, reps, remainder, bootstrap):

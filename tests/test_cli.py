@@ -362,6 +362,15 @@ class TestDensity:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["survival", "gue", "goe"])
+    def test_y_refused_where_the_density_takes_none(self, capsys, name):
+        # refused before the seed line, not dropped
+        assert run(["density", "--name", name, "--t", "1", "--x", "0,2",
+                    "--y", "0,5", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --name %s takes no --y\n" % name
+        assert captured.out == ""
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["pfaffian", "quadrature",
                                         "montecarlo"])

@@ -411,17 +411,39 @@ class TestImplicitStep:
             np.testing.assert_array_equal(y[i], y1[0])
             assert ok[i] == ok1[0]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_solve_without_pivoting_matches_lapack(self, n):
+        # the Newton systems at clustered and at reversed rows y, with the
+        # right side -g = dt D(y) of a step from a = y; condition numbers
+        # reach 4e9 at gaps of 1e-6.  The difference is taken relative to
+        # |b|, which bounds |x| in the max norm (|h^-1| <= 1 when every
+        # diagonal exceeds its off-diagonal row sum by 1: Varah, Linear
+        # Algebra Appl. 11, 1975); relative to |x| the two solves differ by
+        # up to 1e-7 there, each as far from a 60-digit solution
+        rng = substream(60, n)
+        y = np.concatenate([
+            _spaced(n, 1e-6) + rng.normal(size=(20, 1)),
+            _spaced(n, 1e-3) + rng.normal(size=(20, 1)),
+            np.stack([-10.0 * _spaced(n, gap)
+                      for gap in (1e-6, 1e-3, 0.05, 1.0)])]).T.copy()
+        s, _ = sde._newton_system(y, y, self.DT)
+        h, b = np.moveaxis(s[:n], -1, 0), s[n].T
+        ref = np.linalg.solve(h, b[..., None])[..., 0]
+        x = sde._solve(s.copy()).T
+        err = np.abs(x - ref).max(-1) / np.abs(b).max(-1)
+        assert err.max() <= 1e-12
+
     @staticmethod
     def _count_passes(monkeypatch):
-        """Count the Newton passes of sde: one np.linalg.solve each."""
+        """Count the Newton passes of sde: one sde._solve each."""
         calls = [0]
-        solve = np.linalg.solve
+        solve = sde._solve
 
         def counting_solve(*args):
             calls[0] += 1
             return solve(*args)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(sde, "_solve", counting_solve)
         return calls
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -451,15 +473,15 @@ class TestImplicitStep:
         mp = pytest.importorskip("mpmath")
         g = np.array([-1e6, -10.0, -1e-3, 0.0, 1e-3, 10.0, 1e6, 1e9]) \
             * math.sqrt(self.DT)
-        y = sde._start(np.stack([-0.5 * g, 0.5 * g], axis=-1), self.DT)
+        y = sde._start(np.stack([-0.5 * g, 0.5 * g]), self.DT)
         with mp.workdps(50):
             ref = np.array([float((mp.mpf(v) + mp.sqrt(
                 mp.mpf(v) ** 2 + 8 * mp.mpf(self.DT))) / 2) for v in g])
-        np.testing.assert_allclose(y[:, 1] - y[:, 0], ref,
+        np.testing.assert_allclose(y[1] - y[0], ref,
                                    rtol=16 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_start_is_ordered_on_reversed_neighbours(self, n):
         a = np.stack([-10.0 * _spaced(n, gap)
                       for gap in (1e-6, 1e-3, 0.05, 1.0)])
-        assert (np.diff(sde._start(a, self.DT), axis=-1) > 0).all()
+        assert (np.diff(sde._start(a.T, self.DT), axis=0) > 0).all()
