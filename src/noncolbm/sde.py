@@ -28,6 +28,16 @@ dominant (its diagonal 1 + dt sum_j w_ij exceeds its off-diagonal row sum
 dt sum_j w_ij by 1), so no pivot is 0 and no multiplier exceeds 1.  A
 simulate call draws every replicate from one RNG stream, so its paths
 depend on the replicate count as well as on the seed.
+
+The integrator carries the live replicates from step to step in the same
+layout, one C-contiguous (n, m) array: each step builds its target
+a = x + dt r(t, x) + sqrt(dt) z there and hands the drift and the implicit
+step the (m, n) transposed view, which implicit_step takes without a copy.
+While no replicate has failed nothing is gathered, scattered or copied
+forward; a replicate that fails is frozen at its last state and leaves the
+live set once.  States are stored only at the grid times a simulate call is
+asked to record (all of them by default); the imhof and marginals suites
+record the 2 and 4 times they read.
 """
 
 import math
@@ -67,33 +77,48 @@ class SDEConfig:
                                  % (self.n, self.start.size))
 
 
+def _grid_index(grid, t):
+    """Index of the time t in a grid.  Raises ValueError when t is not
+    finite, lies outside [grid[0], grid[-1]] or is not one of its times
+    (beyond rounding, 1e-9 of the grid's span)."""
+    linalg.check_time(t, zero_ok=True)
+    lo, hi = float(grid[0]), float(grid[-1])
+    if not lo <= t <= hi:
+        raise ValueError("t must lie in [%r, %r], got %r"
+                         % (lo, hi, float(t)))
+    k = int(np.argmin(np.abs(grid - t)))
+    if abs(grid[k] - t) > 1e-9 * (hi - lo):
+        raise ValueError("t = %r is not a grid time; the nearest is %r"
+                         % (float(t), float(grid[k])))
+    return k
+
+
 @dataclass
 class SimResult:
-    times: np.ndarray    # (K+1,)
-    states: np.ndarray   # (reps, K+1, n); rows frozen after a failure
+    times: np.ndarray    # (k,): the recorded grid times
+    states: np.ndarray   # (reps, k, n); rows frozen after a failure
     failed: np.ndarray   # (reps,) bool
+    grid: np.ndarray = None   # the whole time grid; None: that is times
 
     def at_time(self, t):
-        """States of all replicates at the grid time t.
+        """States of all replicates at the recorded grid time t.
 
         Raises ValueError when t is not finite, lies outside the grid's
-        [times[0], times[-1]] or is not one of its times (beyond rounding,
-        1e-9 of the grid's span), and when any replicate is flagged failed:
-        a statistic of the survivors alone would be biased."""
-        linalg.check_time(t, zero_ok=True)
-        lo, hi = float(self.times[0]), float(self.times[-1])
-        if not lo <= t <= hi:
-            raise ValueError("t must lie in [%r, %r], got %r"
-                             % (lo, hi, float(t)))
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * (hi - lo):
-            raise ValueError("t = %r is not a grid time; the nearest is %r"
-                             % (float(t), float(self.times[k])))
+        [grid[0], grid[-1]], is not one of its times (beyond rounding, 1e-9
+        of the grid's span) or was not recorded, and when any replicate is
+        flagged failed: a statistic of the survivors alone would be
+        biased."""
+        grid = self.times if self.grid is None else self.grid
+        k = _grid_index(grid, t)
+        j = int(np.argmin(np.abs(self.times - grid[k])))
+        if self.times[j] != grid[k]:
+            raise ValueError("t = %r was not recorded; the nearest recorded "
+                             "time is %r" % (float(t), float(self.times[j])))
         n_failed = int(self.failed.sum())
         if n_failed:
             raise ValueError("%d of %d replicates failed; refusing to return "
                              "a filtered sample" % (n_failed, self.failed.size))
-        return self.states[:, k, :]
+        return self.states[:, j, :]
 
 
 def _diagonal(a):
@@ -157,12 +182,14 @@ def _start(a, dt):
     they keep, then one sweep a + dt D(y) on each column it leaves strictly
     ordered (more sweeps overshoot on clustered rows; at N <= 2 the gaps
     are exact)."""
-    s = math.sqrt(8.0 * dt)
-    gap = np.exp(np.arcsinh(np.diff(a, axis=0) / s)) * (0.5 * s)
+    n, s = a.shape[0], math.sqrt(8.0 * dt)
+    gap = np.exp(np.arcsinh((a[1:] - a[:-1]) / s)) * (0.5 * s)
     y = np.zeros(a.shape)
     np.cumsum(gap, axis=0, out=y[1:])
-    y += a.mean(0) - y.mean(0)
-    if a.shape[0] > 2:
+    # the means as np.mean takes them, a sum divided by n, without its
+    # Python wrapper
+    y += a.sum(0) / n - y.sum(0) / n
+    if n > 2:
         sweep = a + dt * _inverse_differences(y).sum(1)
         ordered = (sweep[1:] > sweep[:-1]).all(0)
         y = np.where(ordered, sweep, y)
@@ -217,7 +244,8 @@ def implicit_step(a, dt):
     set is held coordinate-first, (n, m) with the batch axis last: the
     iterates, targets, tolerances and batch indices of the unconverged
     rows, compacted only when a row converges or turns non-finite, which is
-    also when its iterate is written out.  Newton starts from _start.  Each
+    also when its iterate is written out; the batch indices are built when
+    a row first leaves before the others.  Newton starts from _start.  Each
     pass builds the Hessians in the buffer (n, n, m) of the inverse
     differences (_newton_system) and solves them by _solve, elimination
     without pivoting: I + dt L is strictly diagonally dominant, its
@@ -234,9 +262,10 @@ def implicit_step(a, dt):
     tol = dt * _NEWTON_TOL + (8.0 * n * np.finfo(float).eps * np.maximum(
         np.abs(a), np.abs(y)).max(0, initial=0.0)) ** 2
     converged = np.zeros(m, dtype=bool)
-    rows, ya, aa = np.arange(m), y, a
+    # rows: the batch indices of the working set, None while it is every row
+    rows, ya, aa = None, y, a
     for _ in range(_NEWTON_MAX_ITER):
-        if rows.size == 0:
+        if ya.shape[1] == 0:
             break
         s, g = _newton_system(ya, aa, dt)
         p = _solve(s)
@@ -255,59 +284,103 @@ def implicit_step(a, dt):
             ya[:, damp] = _backtrack(ya[:, damp], aa[:, damp], p[:, damp],
                                      lam2[damp], dt)
         leave = done | ~finite
-        if leave.any():
+        n_leave = np.count_nonzero(leave)
+        if n_leave == m and rows is None:
+            return ya.T, done
+        if n_leave:
+            if rows is None:
+                rows = np.arange(m)
             y[:, rows[leave]] = ya[:, leave]
             converged[rows[done]] = True
             stay = ~leave
             rows, ya, aa, tol = rows[stay], ya[:, stay], aa[:, stay], \
                 tol[stay]
+    if rows is None:   # no row left before the iteration cap
+        return ya.T, converged
     y[:, rows] = ya   # the rows that reached the iteration cap
     return y.T, converged
 
 
-def _integrate(cfg, t_end, seed, reps, remainder, bootstrap):
+def _integrate(cfg, t_end, seed, reps, remainder, bootstrap, record):
+    """Paths of y = x + dt D(y) + dt remainder(t, x) + sqrt(dt) z on the grid
+    of steps of about cfg.dt up to t_end, stored at the grid times record
+    (every grid time if None); remainder takes and returns the live states
+    coordinate-first, (n, m)."""
     linalg.check_time(t_end)
     linalg.check_count("reps", reps, least=1)
     steps = max(1, int(round(t_end / cfg.dt)))
-    times = np.linspace(0.0, t_end, steps + 1)
+    grid = np.linspace(0.0, t_end, steps + 1)
+    if record is None:
+        keep = np.arange(steps + 1)
+    else:
+        record = [float(t) for t in record]
+        keep = np.array([_grid_index(grid, t) for t in record], dtype=int)
+        if keep.size == 0 or (np.diff(keep) <= 0).any():
+            raise ValueError("record must hold increasing grid times, each "
+                             "once, got %r" % (record,))
+    slot = np.full(steps + 1, -1)
+    slot[keep] = np.arange(keep.size)
     gen = substream(seed)
-    states = np.zeros((reps, steps + 1, cfg.n))
+    states = np.empty((reps, keep.size, cfg.n))
     failed = np.zeros(reps, dtype=bool)
+    # x holds the live replicates coordinate-first, (n, m); rows, their
+    # indices, and frozen, the last state of each failed replicate, stay
+    # None until a replicate fails
+    rows = frozen = None
+
+    def store(k):
+        j = slot[k]
+        if j < 0:
+            return
+        if rows is None:
+            states[:, j] = x.T
+        else:
+            states[:, j] = frozen
+            states[rows, j] = x.T
 
     if cfg.start is None:
+        x = np.zeros((cfg.n, reps))
+        store(0)
         # exact draw at the first grid time; the drift is singular at 0
-        states[:, 1, :] = bootstrap(times[1], reps, gen)
+        x = np.ascontiguousarray(bootstrap(grid[1], reps, gen).T)
         k0 = 1
     else:
-        states[:, 0, :] = cfg.start
+        x = np.repeat(cfg.start[:, None], reps, axis=1)
         k0 = 0
+    store(k0)
 
     for k in range(k0, steps):
-        t = times[k]
-        dt = times[k + 1] - t
+        t = grid[k]
+        dt = grid[k + 1] - t
         z = gen.normal(size=(reps, cfg.n))
-        states[:, k + 1, :] = states[:, k, :]
-        live = np.nonzero(~failed)[0]
-        if live.size == 0:
-            continue
-        x = states[live, k, :]
-        y, ok = implicit_step(
-            x + dt * remainder(t, x) + math.sqrt(dt) * z[live], dt)
-        states[live[ok], k + 1, :] = y[ok]
-        failed[live[~ok]] = True
-    return SimResult(times, states, failed)
+        if x.shape[1]:
+            a = x + dt * remainder(t, x)
+            a += math.sqrt(dt) * (z if rows is None else z[rows]).T
+            y, ok = implicit_step(a.T, dt)
+            if not ok.all():
+                if rows is None:
+                    rows, frozen = np.arange(reps), np.empty((reps, cfg.n))
+                frozen[rows[~ok]] = x[:, ~ok].T
+                failed[rows[~ok]] = True
+                rows, y = rows[ok], y[ok]
+            x = np.ascontiguousarray(y.T)
+        store(k + 1)
+    return SimResult(grid[keep], states, failed, grid)
 
 
-def simulate_dyson(cfg, t_end, seed, reps=1):
-    """Paths of the repulsive-drift diffusion up to t_end."""
+def simulate_dyson(cfg, t_end, seed, reps=1, record=None):
+    """Paths of the repulsive-drift diffusion up to t_end, stored at the
+    grid times record (every grid time if None)."""
     def bootstrap(t1, reps, gen):
         return np.linalg.eigvalsh(paths.sample_gue(cfg.n, t1, reps, gen))
 
-    return _integrate(cfg, t_end, seed, reps, lambda t, x: 0.0, bootstrap)
+    return _integrate(cfg, t_end, seed, reps, lambda t, x: 0.0, bootstrap,
+                      record)
 
 
-def simulate_noncolliding(cfg, t_end, seed, reps=1):
-    """Paths of the finite-horizon noncolliding system up to t_end <= T."""
+def simulate_noncolliding(cfg, t_end, seed, reps=1, record=None):
+    """Paths of the finite-horizon noncolliding system up to t_end <= T,
+    stored at the grid times record (every grid time if None)."""
     T = cfg.horizon
     if t_end > T + 1e-12:
         raise ValueError("t_end must not exceed the horizon")
@@ -315,10 +388,12 @@ def simulate_noncolliding(cfg, t_end, seed, reps=1):
     def remainder(t, x):
         # bounded near collisions, where the log-survival gradient is
         # dominated by the pairwise repulsion
-        return densities.survival_log_gradient(T - t, x) - dyson_drift(x)
+        x = x.T
+        return (densities.survival_log_gradient(T - t, x)
+                - dyson_drift(x)).T
 
     def bootstrap(t1, reps, gen):
         return np.linalg.eigvalsh(
             paths.sample_xit_marginal(cfg.n, t1, T, reps, gen))
 
-    return _integrate(cfg, t_end, seed, reps, remainder, bootstrap)
+    return _integrate(cfg, t_end, seed, reps, remainder, bootstrap, record)

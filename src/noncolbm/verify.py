@@ -180,9 +180,11 @@ def marginals_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
                          "got n=%r" % (MARGINALS_MAX_N, n))
     T = horizon
     cfg = sde.SDEConfig(n=n, horizon=T, dt=dt)
-    res = sde.simulate_noncolliding(cfg, T, seed=seed, reps=reps)
+    times = [T / 4, T / 2, 3 * T / 4, T]
+    res = sde.simulate_noncolliding(cfg, T, seed=seed, reps=reps,
+                                    record=times)
     tests = []
-    for idx, t in enumerate([T / 4, T / 2, 3 * T / 4, T]):
+    for idx, t in enumerate(times):
         ev = np.linalg.eigvalsh(
             paths.sample_xit_marginal(n, t, T, reps,
                                       substream(seed, 10_000 + idx)))
@@ -214,8 +216,10 @@ def imhof_suite(n=2, horizon=1.0, reps=10_000, seed=0, dt=None):
     c = densities.constants(n)
     const = c.c1 * T ** (n * (n - 1) / 4.0) / c.c2
     cfg = sde.SDEConfig(n=n, horizon=T, dt=dt)
-    res_y = sde.simulate_dyson(cfg, T, seed=seed, reps=reps)
-    res_x = sde.simulate_noncolliding(cfg, T, seed=seed + 1, reps=reps)
+    times = [T / 2, T]
+    res_y = sde.simulate_dyson(cfg, T, seed=seed, reps=reps, record=times)
+    res_x = sde.simulate_noncolliding(cfg, T, seed=seed + 1, reps=reps,
+                                      record=times)
     y_end = res_y.at_time(T)
     y_mid = res_y.at_time(T / 2)
     x_end = res_x.at_time(T)

@@ -1,14 +1,20 @@
-"""Bit-for-bit pins of the density kernels.
+"""Bit-for-bit pins of the density kernels, the SDE integrators and the SDE
+suites' reports.
 
-Each case hashes (sha256) the float64 bytes of a kernel's output on fixed
-inputs: batches of several leading shapes and one lone vector.  The
+Each density case hashes (sha256) the float64 bytes of a kernel's output on
+fixed inputs: batches of several leading shapes and one lone vector.  The
 digests were taken before the kernels moved to the pair-first layout, so a
-layout change that reorders any arithmetic shows here.  The bits depend on
-numpy's and scipy's exp and erf loops, which are chosen by version and CPU,
-so the digests are checked only under the build they were taken with.
+layout change that reorders any arithmetic shows here.  Each SDE case hashes
+the states and the failed flags of a simulation, and each suite case the
+JSON of its report; these digests were taken before the integrator kept its
+live replicates coordinate-first and stored only recorded times.  The bits
+depend on numpy's and scipy's exp and erf loops, which are chosen by version
+and CPU, so the digests are checked only under the build they were taken
+with.
 """
 
 import hashlib
+import json
 import math
 import platform
 
@@ -16,7 +22,7 @@ import numpy as np
 import pytest
 import scipy
 
-from noncolbm import densities, verify
+from noncolbm import densities, sde, verify
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -83,6 +89,40 @@ for _n in (2, 3):
     CASES["marginal_cdfs-goe-%d" % _n] = (lambda n=_n: _cdf_digest(
         lambda y: densities.eigenvalue_density("goe", y, 1.0), n, -6.0, 6.0,
         801))
+
+_SIMULATE = {"dyson": sde.simulate_dyson,
+             "noncolliding": sde.simulate_noncolliding}
+# drift_n5's separated start: dt = 1/256, 100 replicates, 2 steps
+DRIFT_N5 = dict(n=5, horizon=1.0, dt=1.0 / 256,
+                start=np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+
+
+def _sde_digests(res):
+    return (hashlib.sha256(res.states.tobytes()).hexdigest(),
+            hashlib.sha256(res.failed.tobytes()).hexdigest())
+
+
+def _report_digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+# from the origin to T/64 (T = 1, default dt, 200 replicates); the N = 7
+# and 8 noncolliding runs flag replicates, so they cover the frozen rows
+for _model, _simulate in _SIMULATE.items():
+    for _n in range(2, 9):
+        for _seed in (7, 8):
+            CASES["simulate_%s-origin-n%d-seed%d" % (_model, _n, _seed)] = (
+                lambda n=_n, seed=_seed, simulate=_simulate: _sde_digests(
+                    simulate(sde.SDEConfig(n=n, horizon=1.0), 1.0 / 64,
+                             seed=seed, reps=200)))
+    CASES["simulate_%s-drift_n5-seed11" % _model] = (
+        lambda simulate=_simulate: _sde_digests(simulate(
+            sde.SDEConfig(**DRIFT_N5), 2.0 / 256, seed=11, reps=100)))
+for _suite in ("imhof", "marginals"):
+    CASES["%s_suite-3" % _suite] = (
+        lambda suite=getattr(verify, _suite + "_suite"): _report_digest(
+            suite(n=3, reps=300, seed=1)))
 
 DIGESTS = {
     "eigenvalue_density-goe-1":
@@ -175,6 +215,100 @@ DIGESTS = {
         "c9bf16023ea6451e9c7fefeefcacf4c3ca8e744a020d234507455ad387aaf45b",
     "survival_pfaffian-9":
         "05c702bb21778f2fa8a0c407497d8bd6c7226f767df9904a74879aa2f1e461e7",
+    "simulate_dyson-drift_n5-seed11": (
+        "ac2ec0f31a4517b2da99e0fdbd50d2fc5333933b456a4508c200fb2c496001b4",
+        "cd00e292c5970d3c5e2f0ffa5171e555bc46bfc4faddfb4a418b6840b86e79a3"),
+    "simulate_dyson-origin-n2-seed7": (
+        "9994af74f52005ac93d7aceaebae4dc0fd64afe6a806fa47c24585fb133164fc",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n2-seed8": (
+        "985efa50783781a5318a3ebedc8889f8f20b1da7a799719dc090d73f5512d7e0",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n3-seed7": (
+        "34aba802559d64bbf1a1be8ba843de52a80fe9ef88c7e21592cb9b254045b4fa",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n3-seed8": (
+        "d12c955641057f68fa32fe92173937000c6e1f2cbea0fecd2166f30646da84a0",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n4-seed7": (
+        "83bd60f61ba08bb1119746d4c2edb5811d476f8419209344c428d3320a1ac25a",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n4-seed8": (
+        "55e01f2f0f25443bde3c514d2bc4374ee56415018790624f1c1ddc43ef21d039",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n5-seed7": (
+        "115f6618a18a0bd95eaa8b9e2ffc6ac5cc30a0a673fa95d9ac8e45364e2eff11",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n5-seed8": (
+        "4d42488ec666e9b38c2b71aaf28f771f79c50ec20eb5bbdffd72ba5a5bffd89b",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n6-seed7": (
+        "7f94cfc6f6fd3b2f29be724a023de9c5c80157db048583e93148f0afec0291ca",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n6-seed8": (
+        "802cdd7f9b744cdf8adb804e9f30797c07f9898c167de04d8457f7903b678fe0",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n7-seed7": (
+        "c8908c5c44a72ca67c51c96d7bedb668d8bc8c8703b051b43b2b7b05ff4c0624",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n7-seed8": (
+        "0a82951ccf7ea642be55362d414dea0355733cebe408c3b3e1f9ee01d0370dba",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n8-seed7": (
+        "554272d7f40afa4b6bf1a2b2e2216938ddf472b09e143df9998f4aa01d5f6931",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_dyson-origin-n8-seed8": (
+        "153f4dc096443a1427e39aa368ad51d35f2d8a0250e0d9eac51af9335c707c0a",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-drift_n5-seed11": (
+        "ae69ebb63856883f0647978e8b17417f004ae35aea031e7a9f74e7ff5620a2d8",
+        "cd00e292c5970d3c5e2f0ffa5171e555bc46bfc4faddfb4a418b6840b86e79a3"),
+    "simulate_noncolliding-origin-n2-seed7": (
+        "b6b0331f2464d2b668cd1401e0e6f67c858d217351f9ff8df98c1e920e6713da",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n2-seed8": (
+        "428dfb2866403e6ce2751193b85b912571b2c37c6af7e637e924cfb12898fefa",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n3-seed7": (
+        "5dc7b41271127645e3baba00b7254c2188121df8eea9cb6830e5737dc131c843",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n3-seed8": (
+        "8fe9a0606ecf0692e5b74762d0921e0a802fa6a031c1a5b51dfa595aa4814d13",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n4-seed7": (
+        "f08e85166f56ad6e35ced516ce63fb5cebe3b89a479254295306fb76762a7b40",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n4-seed8": (
+        "55e84fe5872ab770a46d6d63eba13c347bb3b6628ff9e43696817b980aa3bfd0",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n5-seed7": (
+        "9c1d8176f06aaf6679844552feed4eab6be9d6f6738a17c20e8d37bf1efff6ea",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n5-seed8": (
+        "599de29bd13274fa062edce5f8bd16f0c9805b26edf2dc8a981b4031fc900fe4",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n6-seed7": (
+        "8db6b06f0a469bd25b09244d57ed4ec1d0be027ea5ac9711d5894c4b90070d25",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n6-seed8": (
+        "e983226f3dc0e663885c7b10b67d479de6356a1e7bf3f4082a1bdfef622e2b55",
+        "6d9c54dee5660c46886f32d80e57e9dd0ffa57ee0cd2a762b036d9c8e0c3a33a"),
+    "simulate_noncolliding-origin-n7-seed7": (
+        "3f354bd8303f53257bf80803dd1c82e7259e713d36957aa7c2dd3bedecb801fa",
+        "26c88a77642d10c998148fb083d88a98787769c059420052853c0f18e746c0f9"),
+    "simulate_noncolliding-origin-n7-seed8": (
+        "a9faeffc9a10704054a95599c8ef8db92a5503582f857f3049a77bcfd7227508",
+        "896014a4950b4664945d9b8437c4c1b58f8a3e090b91488cc03fb61d763d6553"),
+    "simulate_noncolliding-origin-n8-seed7": (
+        "0b1f002bc39a9eed6421f8a21445dd2c58e43605ba7d709ed71d9ce9a02fb1d2",
+        "4a7261d2aa84851c0f17a5c5bb6ace10c2c50606816221c9bf6f46b34e4d88d3"),
+    "simulate_noncolliding-origin-n8-seed8": (
+        "14d843586e17b54605a5bf46347a3b8b5ab563f7300e66d504bd42a1d0a11cf5",
+        "24dba95d1e40a1dc23fa079ee615eed4486556a0ce041bda02746ba45251914b"),
+    "imhof_suite-3":
+        "780f221c74eaca1e814112f65f21c60a7055f3197411b6fa2eb6d40610526538",
+    "marginals_suite-3":
+        "b3c381337481f6566c1946004c229a24399a70b147e482727251480d133a9ab6",
 }
 
 
@@ -188,3 +322,28 @@ def test_pinned_bits(case):
 
 def test_every_case_is_pinned():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+@pytest.mark.parametrize("model, cfg, t_end, record", [
+    # from the origin: time 0, the bootstrap and later steps; at N = 7
+    # replicates are flagged, frozen and leave the working set
+    ("dyson", dict(n=3, horizon=1.0), 16 / 1024,
+     [0.0, 1 / 1024, 5 / 1024, 16 / 1024]),
+    ("noncolliding", dict(n=3, horizon=1.0), 16 / 1024,
+     [1 / 1024, 2 / 1024, 9 / 1024]),
+    ("noncolliding", dict(n=7, horizon=1.0), 16 / 1024,
+     [0.0, 3 / 1024, 10 / 1024, 16 / 1024]),
+    ("noncolliding", DRIFT_N5, 2 / 256, [0.0, 2 / 256]),
+    ("dyson", DRIFT_N5, 2 / 256, [1 / 256]),
+])
+def test_recorded_run_is_the_full_run_at_its_times(model, cfg, t_end,
+                                                   record):
+    cfg = sde.SDEConfig(**cfg)
+    full = _SIMULATE[model](cfg, t_end, seed=7, reps=200)
+    rec = _SIMULATE[model](cfg, t_end, seed=7, reps=200, record=record)
+    k = [int(np.argmin(np.abs(full.times - t))) for t in record]
+    assert rec.times.tobytes() == full.times[k].tobytes()
+    assert rec.states.tobytes() == full.states[:, k].tobytes()
+    assert rec.failed.tobytes() == full.failed.tobytes()
+    if cfg.n == 7:
+        assert 0 < full.failed.sum() < 200

@@ -299,6 +299,52 @@ class TestIntegration:
                                       states[:, 2, :])
         np.testing.assert_array_equal(res.at_time(0.0), states[:, 0, :])
 
+    def test_record_keeps_only_its_times(self):
+        cfg = sde.SDEConfig(n=3, horizon=1.0, dt=1.0 / 64)
+        res = sde.simulate_dyson(cfg, 1.0, seed=3, reps=5,
+                                 record=[0.25, 1.0])
+        assert res.states.shape == (5, 2, 3)
+        np.testing.assert_array_equal(res.times, [0.25, 1.0])
+        assert res.grid.size == 65
+        np.testing.assert_array_equal(res.at_time(1.0), res.states[:, 1])
+
+    @pytest.mark.parametrize("record, match", [
+        ([0.5, 0.3], "is not a grid time; the nearest is 0.296875"),
+        ([0.5, 1.5], r"t must lie in \[0.0, 1.0\], got 1.5"),
+        ([-0.5], "time must be nonnegative and finite, got -0.5"),
+        ([math.nan], "time must be nonnegative and finite, got nan"),
+        ([0.5, 0.25], "record must hold increasing grid times, each once"),
+        ([0.5, 0.5], "record must hold increasing grid times, each once"),
+        # two times within rounding of one grid time are one time twice
+        ([0.5, 0.5 + 1e-12], "record must hold increasing grid times"),
+        ([], "record must hold increasing grid times"),
+    ])
+    @pytest.mark.parametrize("simulate", [sde.simulate_dyson,
+                                          sde.simulate_noncolliding])
+    def test_record_refused_before_any_step(self, simulate, record, match,
+                                            monkeypatch):
+        def no_step(a, dt):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(sde, "implicit_step", no_step)
+        cfg = sde.SDEConfig(n=2, horizon=1.0, dt=1.0 / 64)
+        with pytest.raises(ValueError, match=match):
+            simulate(cfg, 1.0, seed=1, reps=3, record=record)
+
+    def test_at_time_refuses_a_time_not_recorded(self):
+        cfg = sde.SDEConfig(n=2, horizon=1.0, dt=1.0 / 64)
+        res = sde.simulate_dyson(cfg, 1.0, seed=3, reps=4,
+                                 record=[0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="t = 0.875 was not recorded; "
+                           "the nearest recorded time is 1.0"):
+            res.at_time(0.875)
+        # grid times outside the recorded ones are refused in the same way
+        with pytest.raises(ValueError, match="t = 0.0 was not recorded; "
+                           "the nearest recorded time is 0.25"):
+            res.at_time(0.0)
+        with pytest.raises(ValueError, match="0.3 is not a grid time"):
+            res.at_time(0.3)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_no_flagged_replicates_from_origin(self, n):
         # early steps from the origin, where the gaps are of order sqrt(dt)

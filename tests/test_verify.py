@@ -332,6 +332,29 @@ class TestSuites:
         with pytest.raises(ValueError, match="is not a grid time"):
             suite(n=2, reps=50, seed=1, dt=0.3)
 
+    @pytest.mark.parametrize("suite", [verify.imhof_suite,
+                                       verify.marginals_suite])
+    def test_suite_refuses_its_times_before_any_step(self, suite,
+                                                     monkeypatch):
+        # the SDE refuses a time off its grid before it takes a step
+        def no_step(a, dt):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(sde, "implicit_step", no_step)
+        with pytest.raises(ValueError, match="is not a grid time"):
+            suite(n=2, reps=50, seed=1, dt=0.3)
+
+    def test_imhof_suite_memory(self):
+        # it records the 2 of its 1025 grid times that it reads; keeping
+        # every time would take two (2000, 1025, 3) state arrays, 98 MB
+        tracemalloc.start()
+        try:
+            verify.imhof_suite(n=3, reps=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     def test_marginals_suite_refuses_n_above_4(self, monkeypatch):
         # its closed-form check would take some 48 min at n = 5; refused
         # before the SDE runs
