@@ -177,7 +177,7 @@ def survival_log_gradient(t, x):
         pf = linalg._pfaffian_batch(s)
     else:
         pf = linalg._pair_pfaffian(_fold(v, n))
-    positive = (pf.real > 0.0).all(axis=0)
+    positive = np.logical_and.reduce(pf.real > 0.0, 0)
     grad = np.divide(pf.imag, _COMPLEX_STEP * pf.real, where=positive,
                      out=np.full(pf.shape, np.nan))
     return grad.transpose(*range(1, grad.ndim), 0)

@@ -29,6 +29,14 @@ dt sum_j w_ij by 1), so no pivot is 0 and no multiplier exceeds 1.  A
 simulate call draws every replicate from one RNG stream, so its paths
 depend on the replicate count as well as on the seed.
 
+The step's sums and tests along an axis go through the ufuncs' own reduce
+(np.add.reduce, np.logical_and.reduce, np.maximum.reduce) and its tests
+of a whole array through np.count_nonzero, not through the ndarray methods
+.sum, .all, .any and .max: those are the same reductions behind a Python
+wrapper (numpy/_core/_methods.py) that costs about a microsecond a call,
+and a step of two Newton passes would make 16 of them.  A pass on which
+every row takes the full Newton step skips the damping bookkeeping.
+
 The integrator carries the live replicates from step to step in the same
 layout, one C-contiguous (n, m) array: each step builds its target
 a = x + dt r(t, x) + sqrt(dt) z there and hands the drift and the implicit
@@ -55,6 +63,7 @@ _NEWTON_TOL = 1e-12
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _TO_BOUNDARY = 0.99   # share of the distance to the chamber wall stepped
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -141,13 +150,14 @@ def _inverse_differences(x, out=None):
 
 def dyson_drift(x):
     """Pairwise repulsion sum_{j != i} 1 / (x_i - x_j), batched (m, n)."""
-    return _inverse_differences(np.atleast_2d(x).T).sum(1).T
+    return np.add.reduce(_inverse_differences(np.atleast_2d(x).T), 1).T
 
 
 def _phi(y, a, dt):
     """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (n, m)."""
     iu, ju = linalg.pair_index(y.shape[0])
-    return 0.5 * ((y - a) ** 2).sum(0) - dt * np.log(y[ju] - y[iu]).sum(0)
+    return 0.5 * np.add.reduce((y - a) ** 2, 0) \
+        - dt * np.add.reduce(np.log(y[ju] - y[iu]), 0)
 
 
 def _backtrack(y, a, p, lam2, dt):
@@ -159,7 +169,8 @@ def _backtrack(y, a, p, lam2, dt):
     gap, dgap = np.diff(y, axis=0), np.diff(p, axis=0)
     with np.errstate(divide="ignore"):
         wall = np.where(dgap < 0, gap / -dgap, np.inf)
-    s = np.minimum(1.0, _TO_BOUNDARY * wall.min(0, initial=np.inf))
+    s = np.minimum(1.0, _TO_BOUNDARY * np.minimum.reduce(wall, 0,
+                                                         initial=np.inf))
     f0 = _phi(y, a, dt)
     out = y.copy()
     rows = np.arange(y.shape[1])
@@ -186,13 +197,14 @@ def _start(a, dt):
     gap = np.exp(np.arcsinh((a[1:] - a[:-1]) / s)) * (0.5 * s)
     y = np.zeros(a.shape)
     np.cumsum(gap, axis=0, out=y[1:])
-    # the means as np.mean takes them, a sum divided by n, without its
-    # Python wrapper
-    y += a.sum(0) / n - y.sum(0) / n
+    # the means as np.mean takes them, a sum divided by n
+    y += np.add.reduce(a, 0) / n - np.add.reduce(y, 0) / n
     if n > 2:
-        sweep = a + dt * _inverse_differences(y).sum(1)
-        ordered = (sweep[1:] > sweep[:-1]).all(0)
-        y = np.where(ordered, sweep, y)
+        sweep = a + dt * np.add.reduce(_inverse_differences(y), 1)
+        up = sweep[1:] > sweep[:-1]
+        if np.count_nonzero(up) == up.size:
+            return sweep
+        y = np.where(np.logical_and.reduce(up, 0), sweep, y)
     return y
 
 
@@ -204,10 +216,11 @@ def _newton_system(y, a, dt):
     n, m = y.shape
     s = np.empty((n + 1, n, m))
     h = _inverse_differences(y, out=s[:n])
-    g = y - a - dt * h.sum(1)
+    g = np.subtract(y, a)
+    g -= dt * np.add.reduce(h, 1)
     np.negative(g, out=s[n])
     h *= h
-    diagonal = 1.0 + dt * h.sum(1)
+    diagonal = 1.0 + dt * np.add.reduce(h, 1)
     h *= -dt
     _diagonal(h)[:] = diagonal
     return s, g
@@ -223,15 +236,22 @@ def _solve(s):
     stack, dividing each pivot row by its pivot; back substitution then
     needs no division.  Strict diagonal dominance passes to every Schur
     complement, so no pivot is 0 and no multiplier exceeds 1 (Golub & Van
-    Loan, Matrix Computations, 4th ed., section 3.4.10)."""
-    n = s.shape[1]
+    Loan, Matrix Computations, 4th ed., section 3.4.10).  Every update's
+    products go to one scratch array w, allocated once per call."""
+    _, n, m = s.shape
+    # out is passed by position: parsed as a keyword, it costs about as
+    # much as the allocation it saves on 100-row batches
+    w = np.empty((n, n - 1, m))
     for k in range(n - 1):
         s[k + 1:, k] /= s[k, k]
-        s[k + 1:, k + 1:] -= s[k + 1:, k, None] * s[k, k + 1:]
+        t = s[k + 1:, k + 1:]
+        np.subtract(t, np.multiply(s[k + 1:, k, None], s[k, k + 1:],
+                                   w[:n - k, :n - k - 1]), t)
     x = s[n]
     x[n - 1] /= s[n - 1, n - 1]
     for k in range(n - 1, 0, -1):
-        x[:k] -= s[k, :k] * x[k]
+        t = x[:k]
+        np.subtract(t, np.multiply(s[k, :k], x[k], w[0, :k]), t)
     return x
 
 
@@ -259,8 +279,8 @@ def implicit_step(a, dt):
     y = _start(a, dt)
     # the rounding floor of lam2: g = y - a - dt D(y) is known to about
     # eps times the size of its terms
-    tol = dt * _NEWTON_TOL + (8.0 * n * np.finfo(float).eps * np.maximum(
-        np.abs(a), np.abs(y)).max(0, initial=0.0)) ** 2
+    tol = dt * _NEWTON_TOL + (8.0 * n * _EPS * np.maximum.reduce(
+        np.maximum(np.abs(a), np.abs(y)), 0, initial=0.0)) ** 2
     converged = np.zeros(m, dtype=bool)
     # rows: the batch indices of the working set, None while it is every row
     rows, ya, aa = None, y, a
@@ -269,21 +289,31 @@ def implicit_step(a, dt):
             break
         s, g = _newton_system(ya, aa, dt)
         p = _solve(s)
-        lam2 = -(g * p).sum(0)   # squared Newton decrement
+        # squared Newton decrement
+        lam2 = -np.add.reduce(np.multiply(g, p, out=g), 0)
         # Inside the quadratic-convergence region (decrement of _phi / dt,
         # which is self-concordant, at most 1/4) the full step stays in the
         # chamber and lowers _phi; it is taken without a line search, which
         # rounding in _phi would stall near the solution.
         full = ya + p
-        take = (lam2 <= dt / 16.0) & (full[1:] > full[:-1]).all(0)
-        ya = np.where(take, full, ya)
-        done = take & (lam2 <= tol)
-        finite = np.isfinite(lam2)
-        damp = finite & ~take
-        if damp.any():
-            ya[:, damp] = _backtrack(ya[:, damp], aa[:, damp], p[:, damp],
-                                     lam2[damp], dt)
-        leave = done | ~finite
+        near = lam2 <= dt / 16.0
+        up = full[1:] > full[:-1]
+        if np.count_nonzero(near) == near.size \
+                and np.count_nonzero(up) == up.size:
+            # every row takes the full step; each lam2 is then <= dt / 16,
+            # so a non-finite one is -inf, which is also done
+            ya = full
+            done = leave = lam2 <= tol
+        else:
+            take = near & np.logical_and.reduce(up, 0)
+            ya = np.where(take, full, ya)
+            done = take & (lam2 <= tol)
+            finite = np.isfinite(lam2)
+            damp = finite & ~take
+            if np.count_nonzero(damp):
+                ya[:, damp] = _backtrack(ya[:, damp], aa[:, damp],
+                                         p[:, damp], lam2[damp], dt)
+            leave = done | ~finite
         n_leave = np.count_nonzero(leave)
         if n_leave == m and rows is None:
             return ya.T, done
@@ -309,7 +339,10 @@ def _integrate(cfg, t_end, seed, reps, remainder, bootstrap, record):
     linalg.check_time(t_end)
     linalg.check_count("reps", reps, least=1)
     steps = max(1, int(round(t_end / cfg.dt)))
-    grid = np.linspace(0.0, t_end, steps + 1)
+    # np.linspace(0.0, t_end, steps + 1) by its own formula, without its
+    # Python wrapper
+    grid = np.arange(steps + 1) * (t_end / steps)
+    grid[-1] = t_end
     if record is None:
         keep = np.arange(steps + 1)
     else:
@@ -357,7 +390,7 @@ def _integrate(cfg, t_end, seed, reps, remainder, bootstrap, record):
             a = x + dt * remainder(t, x)
             a += math.sqrt(dt) * (z if rows is None else z[rows]).T
             y, ok = implicit_step(a.T, dt)
-            if not ok.all():
+            if np.count_nonzero(ok) < ok.size:
                 if rows is None:
                     rows, frozen = np.arange(reps), np.empty((reps, cfg.n))
                 frozen[rows[~ok]] = x[:, ~ok].T

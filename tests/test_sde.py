@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -389,6 +390,61 @@ def _spaced(n, gap):
     return gap * (np.arange(n) - 0.5 * (n - 1))
 
 
+def _hard_systems(n, dt):
+    """The Newton systems (n + 1, n, 84) of sde._newton_system at clustered
+    and at reversed rows y, with the right side -g = dt D(y) of a step from
+    a = y; condition numbers reach 4e9 at gaps of 1e-6."""
+    rng = substream(60, n)
+    y = np.concatenate([
+        _spaced(n, 1e-6) + rng.normal(size=(20, 1)),
+        _spaced(n, 1e-3) + rng.normal(size=(20, 1)),
+        np.stack([-10.0 * _spaced(n, gap)
+                  for gap in (1e-6, 1e-3, 0.05, 1.0)])]).T.copy()
+    return sde._newton_system(y, y, dt)[0]
+
+
+def _reference_solve(s):
+    """The elimination of sde._solve with a fresh product at every column
+    in place of its scratch array: the same operations in the same order,
+    so sde._solve must match it bit for bit."""
+    n = s.shape[1]
+    for k in range(n - 1):
+        s[k + 1:, k] /= s[k, k]
+        s[k + 1:, k + 1:] -= s[k + 1:, k, None] * s[k, k + 1:]
+    x = s[n]
+    x[n - 1] /= s[n - 1, n - 1]
+    for k in range(n - 1, 0, -1):
+        x[:k] -= s[k, :k] * x[k]
+    return x
+
+
+_METHOD_WRAPPERS = ("_sum", "_all", "_any", "_amax", "_amin")
+
+
+def _method_reductions(func):
+    """Calls that func() makes to the Python wrappers of the ndarray
+    reductions (numpy._core._methods), by name.  They are counted by a
+    profile hook on the wrappers' code objects, not by patching the
+    module: numpy holds on to each wrapper once its method has run, so a
+    patched module attribute would miss every later call."""
+    methods = pytest.importorskip("numpy._core._methods")
+    names = {getattr(methods, name).__code__: name
+             for name in _METHOD_WRAPPERS}
+    counts = dict.fromkeys(_METHOD_WRAPPERS, 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        func()
+    finally:
+        sys.setprofile(old)
+    return counts
+
+
 class TestImplicitStep:
     DT = 1.0 / 1024
 
@@ -459,25 +515,51 @@ class TestImplicitStep:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_solve_without_pivoting_matches_lapack(self, n):
-        # the Newton systems at clustered and at reversed rows y, with the
-        # right side -g = dt D(y) of a step from a = y; condition numbers
-        # reach 4e9 at gaps of 1e-6.  The difference is taken relative to
-        # |b|, which bounds |x| in the max norm (|h^-1| <= 1 when every
+        # the systems of _hard_systems.  The difference is taken relative
+        # to |b|, which bounds |x| in the max norm (|h^-1| <= 1 when every
         # diagonal exceeds its off-diagonal row sum by 1: Varah, Linear
         # Algebra Appl. 11, 1975); relative to |x| the two solves differ by
         # up to 1e-7 there, each as far from a 60-digit solution
-        rng = substream(60, n)
-        y = np.concatenate([
-            _spaced(n, 1e-6) + rng.normal(size=(20, 1)),
-            _spaced(n, 1e-3) + rng.normal(size=(20, 1)),
-            np.stack([-10.0 * _spaced(n, gap)
-                      for gap in (1e-6, 1e-3, 0.05, 1.0)])]).T.copy()
-        s, _ = sde._newton_system(y, y, self.DT)
+        s = _hard_systems(n, self.DT)
         h, b = np.moveaxis(s[:n], -1, 0), s[n].T
         ref = np.linalg.solve(h, b[..., None])[..., 0]
         x = sde._solve(s.copy()).T
         err = np.abs(x - ref).max(-1) / np.abs(b).max(-1)
         assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_solve_matches_the_reference_bit_for_bit(self, n):
+        # on every build: the digests of test_pinned_bits run only under
+        # the numpy, scipy and CPU they were taken on
+        s = _hard_systems(n, self.DT)
+        assert sde._solve(s.copy()).tobytes() \
+            == _reference_solve(s.copy()).tobytes()
+
+    def test_counting_sees_method_reductions(self):
+        # the ndarray methods have run before, so numpy holds their
+        # wrappers; the count must still see each call
+        x = np.ones((2, 3))
+        assert _method_reductions(lambda: (
+            x.sum(0), x.all(), x.any(), x.max(), x.min())) \
+            == dict.fromkeys(_METHOD_WRAPPERS, 1)
+
+    def test_step_makes_no_method_reductions(self):
+        # 100 separated rows at N = 5: every row takes the full Newton step
+        rng = substream(61)
+        a = np.cumsum(16.0 * math.sqrt(self.DT)
+                      * (1.0 + 0.25 * rng.random((100, 5))), axis=-1)
+        a += rng.normal(size=(100, 1))
+        assert _method_reductions(lambda: sde.implicit_step(a, self.DT)) \
+            == dict.fromkeys(_METHOD_WRAPPERS, 0)
+
+    def test_simulation_makes_no_method_reductions(self):
+        # the shape of the drift_n5 benchmark operation: the survival
+        # gradient, the Dyson drift and the implicit step of each step
+        cfg = sde.SDEConfig(n=5, horizon=1.0, dt=1.0 / 256,
+                            start=np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+        assert _method_reductions(lambda: sde.simulate_noncolliding(
+            cfg, 2.0 / 256, seed=62, reps=100)) \
+            == dict.fromkeys(_METHOD_WRAPPERS, 0)
 
     @staticmethod
     def _count_passes(monkeypatch):
