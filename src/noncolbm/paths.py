@@ -14,7 +14,9 @@ from .rng import as_generator
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times from 0 up to a positive, finite horizon."""
+    """Strictly increasing times from 0 up to a positive, finite horizon.
+    A last time within 1e-12 of the horizon is stored as the horizon itself,
+    in a copy of the times given."""
     times: np.ndarray
     horizon: float
 
@@ -23,10 +25,13 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
             raise ValueError("grid must be 1-d and start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("grid times must be strictly increasing")
         if t[-1] > self.horizon + 1e-12:
             raise ValueError("grid extends beyond the horizon")
+        if t.size > 1 and 0 < abs(t[-1] - self.horizon) <= 1e-12:
+            t = t.copy()
+            t[-1] = self.horizon
+        if not np.all(np.diff(t) > 0):   # a NaN time fails this too
+            raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", t)
 
     @classmethod
@@ -75,7 +80,7 @@ def _bridge_batch(grid, endpoints, gen):
     (t/T)(W(T) - b), W drawn on the grid times with T appended unless they
     end there.  A grid ending at T ends exactly at the endpoints."""
     times, T = grid.times, grid.horizon
-    ends_at_T = abs(times[-1] - T) < 1e-14
+    ends_at_T = times[-1] == T
     w = _brownian_batch(times if ends_at_T else np.append(times, T),
                         endpoints.size, gen)
     vals = w[:, :times.size] - (times / T) * (w[:, -1:] - endpoints[:, None])

@@ -11,16 +11,23 @@ D is the gradient of the concave sum_{i<j} ln(y_j - y_i), so y is the unique
 minimizer of a strictly convex function on the Weyl chamber and never
 leaves it (Ngo & Taguchi, "Semi-implicit Euler-Maruyama approximation for
 noncolliding particle systems", Ann. Appl. Probab. 30, 2020).  All live
-replicates are solved together by damped Newton.  Newton starts from the
-two-particle solution of each adjacent gap, the root G = (g + sqrt(g^2 +
-8 dt)) / 2 of G = g + 2 dt / G, taken as (s / 2) exp(asinh(g / s)) with
-s = sqrt(8 dt): with g = s sinh(u) the root is (s / 2)(sinh(u) + cosh(u)),
-and no difference can cancel.  One fixed-point sweep y <- a + dt D(y) then
-brings in the non-adjacent pairs (skipped at N <= 2, where the pair start
-is exact; kept only on rows it leaves strictly ordered).  It runs on a
-working set of the unconverged rows that only shrinks, held
-coordinate-first, (n, m) with the batch axis last, so that every
-operation runs along contiguous rows of the batch.  Each Newton system,
+replicates are solved together by Newton's method, each step cut to
+_TO_BOUNDARY of the distance to the chamber wall where the wall is nearer
+than the full step.  Since the objective divided by dt is self-concordant
+(Nesterov & Nemirovskii, Interior-Point Polynomial Algorithms in Convex
+Programming, SIAM 1994), a Newton decrement of at most 1/4 moves no gap
+by more than a quarter of itself: the step is then whole, and a pass on
+which every row's decrement is that small skips the cut.  Newton starts
+from the two-particle solution of each adjacent gap, the root
+G = (g + sqrt(g^2 + 8 dt)) / 2 of G = g + 2 dt / G, taken as
+(s / 2) exp(asinh(g / s)) with s = sqrt(8 dt): with g = s sinh(u) the root
+is (s / 2)(sinh(u) + cosh(u)), and no difference can cancel.  One
+fixed-point sweep y <- a + dt D(y) then brings in the non-adjacent pairs
+(skipped at N <= 2, where the pair start is exact; kept only on rows it
+leaves strictly ordered).  It runs on a working set of the unconverged
+rows that only shrinks, held coordinate-first, (n, m) with the batch axis
+last, so that every operation runs along contiguous rows of the batch.
+Each Newton system,
 (I + dt L) p = -g with L the graph Laplacian of the weights
 1 / (y_i - y_j)^2, is solved by Gaussian elimination without pivoting, in
 place, for the whole working set at once: I + dt L is strictly diagonally
@@ -34,8 +41,7 @@ The step's sums and tests along an axis go through the ufuncs' own reduce
 of a whole array through np.count_nonzero, not through the ndarray methods
 .sum, .all, .any and .max: those are the same reductions behind a Python
 wrapper (numpy/_core/_methods.py) that costs about a microsecond a call,
-and a step of two Newton passes would make 16 of them.  A pass on which
-every row takes the full Newton step skips the damping bookkeeping.
+and a step of two Newton passes would make 16 of them.
 
 The integrator carries the live replicates from step to step in the same
 layout, one C-contiguous (n, m) array: each step builds its target
@@ -57,11 +63,9 @@ from . import densities, linalg, paths
 from .rng import substream
 
 _NEWTON_MAX_ITER = 50
-# Stop once the Newton decrement of _phi / dt, which is self-concordant, is
+# Stop once the Newton decrement of phi / dt, which is self-concordant, is
 # below 1e-6: the last full step then leaves an error of order 1e-12 sqrt(dt).
 _NEWTON_TOL = 1e-12
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 50
 _TO_BOUNDARY = 0.99   # share of the distance to the chamber wall stepped
 _EPS = np.finfo(float).eps
 
@@ -153,38 +157,15 @@ def dyson_drift(x):
     return np.add.reduce(_inverse_differences(np.atleast_2d(x).T), 1).T
 
 
-def _phi(y, a, dt):
-    """|y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), batched (n, m)."""
-    iu, ju = linalg.pair_index(y.shape[0])
-    return 0.5 * np.add.reduce((y - a) ** 2, 0) \
-        - dt * np.add.reduce(np.log(y[ju] - y[iu]), 0)
-
-
-def _backtrack(y, a, p, lam2, dt):
-    """Damped Newton update of each column of y (n, m) along p.  The step
-    starts at the largest that keeps every gap positive (shrunk by
-    _TO_BOUNDARY, at most 1) and is halved until _phi falls by the Armijo
-    share of the decrement.  A column with no such step within the cap
-    stays where it is."""
+def _step_length(y, p):
+    """Length of the Newton step p from each column of y (n, m): 1, or
+    _TO_BOUNDARY of the distance to the chamber wall along p where the wall
+    is nearer."""
     gap, dgap = np.diff(y, axis=0), np.diff(p, axis=0)
     with np.errstate(divide="ignore"):
         wall = np.where(dgap < 0, gap / -dgap, np.inf)
-    s = np.minimum(1.0, _TO_BOUNDARY * np.minimum.reduce(wall, 0,
-                                                         initial=np.inf))
-    f0 = _phi(y, a, dt)
-    out = y.copy()
-    rows = np.arange(y.shape[1])
-    for _ in range(_MAX_HALVINGS):
-        trial = y[:, rows] + s[rows] * p[:, rows]
-        with np.errstate(invalid="ignore"):
-            good = _phi(trial, a[:, rows], dt) \
-                <= f0[rows] - _ARMIJO * s[rows] * lam2[rows]
-        out[:, rows[good]] = trial[:, good]
-        rows = rows[~good]
-        if rows.size == 0:
-            break
-        s[rows] *= 0.5
-    return out
+    return np.minimum(1.0, _TO_BOUNDARY * np.minimum.reduce(wall, 0,
+                                                            initial=np.inf))
 
 
 def _start(a, dt):
@@ -209,7 +190,7 @@ def _start(a, dt):
 
 
 def _newton_system(y, a, dt):
-    """The Newton systems of _phi at y (n, m), and its gradients
+    """The Newton systems of phi at y (n, m), and its gradients
     g = y - a - dt D(y) (n, m).  The systems are a stack (n + 1, n, m),
     batch axis last: the rows of the Hessian I + dt L, which fill the
     buffer of _inverse_differences, then the right side -g."""
@@ -258,7 +239,7 @@ def _solve(s):
 def implicit_step(a, dt):
     """Solve y = a + dt * dyson_drift(y) for each row of a batch (m, n).
 
-    y minimizes _phi(y) = |y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), which
+    y minimizes phi(y) = |y - a|^2 / 2 - dt sum_{i<j} ln(y_j - y_i), which
     is strictly convex on the Weyl chamber with Hessian I + dt L, L the graph
     Laplacian with weights w_ij = 1 / (y_i - y_j)^2.  The Newton working
     set is held coordinate-first, (n, m) with the batch axis last: the
@@ -270,7 +251,8 @@ def implicit_step(a, dt):
     differences (_newton_system) and solves them by _solve, elimination
     without pivoting: I + dt L is strictly diagonally dominant, its
     diagonal 1 + dt sum_j w_ij exceeding its off-diagonal row sum
-    dt sum_j w_ij by 1.  Every iterate is strictly ordered and lowers _phi.
+    dt sum_j w_ij by 1.  Each step is the Newton step cut by _step_length
+    short of the chamber wall, so every iterate is strictly ordered.
     Returns (y, converged); a row that ends non-finite or unconverged after
     the iteration cap has converged False.
     """
@@ -291,28 +273,16 @@ def implicit_step(a, dt):
         p = _solve(s)
         # squared Newton decrement
         lam2 = -np.add.reduce(np.multiply(g, p, out=g), 0)
-        # Inside the quadratic-convergence region (decrement of _phi / dt,
-        # which is self-concordant, at most 1/4) the full step stays in the
-        # chamber and lowers _phi; it is taken without a line search, which
-        # rounding in _phi would stall near the solution.
-        full = ya + p
         near = lam2 <= dt / 16.0
-        up = full[1:] > full[:-1]
-        if np.count_nonzero(near) == near.size \
-                and np.count_nonzero(up) == up.size:
-            # every row takes the full step; each lam2 is then <= dt / 16,
-            # so a non-finite one is -inf, which is also done
-            ya = full
+        if np.count_nonzero(near) == near.size:
+            # every decrement of phi / dt at most 1/4: the whole step.  A
+            # non-finite lam2 <= dt / 16 is -inf, which is also done
+            ya += p
             done = leave = lam2 <= tol
         else:
-            take = near & np.logical_and.reduce(up, 0)
-            ya = np.where(take, full, ya)
-            done = take & (lam2 <= tol)
+            ya += _step_length(ya, p) * p
             finite = np.isfinite(lam2)
-            damp = finite & ~take
-            if np.count_nonzero(damp):
-                ya[:, damp] = _backtrack(ya[:, damp], aa[:, damp],
-                                         p[:, damp], lam2[damp], dt)
+            done = finite & (lam2 <= tol)
             leave = done | ~finite
         n_leave = np.count_nonzero(leave)
         if n_leave == m and rows is None:

@@ -67,6 +67,23 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             paths.TimeGrid(np.array([0.0, 2.0]), 1.0)
 
+    def test_rejects_a_nan_time(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            paths.TimeGrid(np.array([0.0, np.nan, 1.0]), 1.0)
+
+    def test_last_time_within_rounding_of_horizon_is_the_horizon(self):
+        # the grid may end up to 1e-12 past its horizon; bridges on it are
+        # pinned at T, not at T and once more at T + 5e-13
+        given = np.array([0.0, 0.5, 1.0 + 5e-13])
+        g = paths.TimeGrid(given, 1.0)
+        assert g.times[-1] == 1.0
+        assert given[-1] == 1.0 + 5e-13   # the caller's array is unchanged
+        p = paths.sample_bridge(g, 2.5, substream(4))
+        assert np.isfinite(p).all() and p[-1] == 2.5
+        mp = paths.build_matrix_process("xit", 3, g, substream(4))
+        assert np.isfinite(mp.values).all()
+        assert np.abs(mp.values[-1].imag).max() == 0.0
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
     def test_rejects_horizon_not_positive_and_finite(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive and "

@@ -390,17 +390,49 @@ def _spaced(n, gap):
     return gap * (np.arange(n) - 0.5 * (n - 1))
 
 
-def _hard_systems(n, dt):
-    """The Newton systems (n + 1, n, 84) of sde._newton_system at clustered
-    and at reversed rows y, with the right side -g = dt D(y) of a step from
-    a = y; condition numbers reach 4e9 at gaps of 1e-6."""
+def _reversed(n):
+    """Four rows (4, n) whose every neighbour pair is reversed by ten gaps,
+    of 1e-6, 1e-3, 0.05 and 1."""
+    return np.stack([-10.0 * _spaced(n, gap)
+                     for gap in (1e-6, 1e-3, 0.05, 1.0)])
+
+
+def _hard_rows(n):
+    """44 rows (n, 44): 40 clustered, at gaps of 1e-6 and 1e-3, then 4
+    reversed (_reversed)."""
     rng = substream(60, n)
-    y = np.concatenate([
+    return np.concatenate([
         _spaced(n, 1e-6) + rng.normal(size=(20, 1)),
         _spaced(n, 1e-3) + rng.normal(size=(20, 1)),
-        np.stack([-10.0 * _spaced(n, gap)
-                  for gap in (1e-6, 1e-3, 0.05, 1.0)])]).T.copy()
+        _reversed(n)]).T.copy()
+
+
+def _hard_systems(n, dt):
+    """The Newton systems (n + 1, n, 44) of sde._newton_system at the rows
+    y of _hard_rows, with the right side -g = dt D(y) of a step from a = y;
+    condition numbers reach 4e9 at gaps of 1e-6."""
+    y = _hard_rows(n)
     return sde._newton_system(y, y, dt)[0]
+
+
+def _drift_n5_targets():
+    """The targets (5, 200) of the two steps of a drift_n5 benchmark
+    operation: N = 5 from -2..2, dt = 1/256, 100 replicates."""
+    targets = []
+    step = sde.implicit_step
+
+    def recording_step(a, dt):
+        targets.append(a.T.copy())
+        return step(a, dt)
+
+    cfg = sde.SDEConfig(n=5, horizon=1.0, dt=1.0 / 256,
+                        start=np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+    sde.implicit_step = recording_step
+    try:
+        sde.simulate_noncolliding(cfg, 2.0 / 256, seed=63, reps=100)
+    finally:
+        sde.implicit_step = step
+    return np.concatenate(targets, axis=1), 1.0 / 256
 
 
 def _reference_solve(s):
@@ -466,9 +498,7 @@ class TestImplicitStep:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_noise_crossing_neighbours_by_ten_gaps(self, n):
         # every neighbour pair of a is reversed by ten gaps
-        a = np.stack([-10.0 * _spaced(n, gap)
-                      for gap in (1e-6, 1e-3, 0.05, 1.0)])
-        self._check(a)
+        self._check(_reversed(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_gaps_of_one_millionth(self, n):
@@ -501,8 +531,7 @@ class TestImplicitStep:
         rng = substream(58, n)
         separated = np.sort(rng.normal(size=(5, n)), axis=-1)
         tight = _spaced(n, 1e-6) + rng.normal(size=(5, 1))
-        reversed_ = np.stack([-10.0 * _spaced(n, gap)
-                              for gap in (1e-6, 1e-3, 0.05, 1.0)])
+        reversed_ = _reversed(n)
         nan_row = np.full((1, n), np.nan)
         a = np.concatenate([separated, tight, nan_row, reversed_])
         a = a[rng.permutation(len(a))]
@@ -610,6 +639,51 @@ class TestImplicitStep:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_start_is_ordered_on_reversed_neighbours(self, n):
-        a = np.stack([-10.0 * _spaced(n, gap)
-                      for gap in (1e-6, 1e-3, 0.05, 1.0)])
-        assert (np.diff(sde._start(a.T, self.DT), axis=0) > 0).all()
+        assert (np.diff(sde._start(_reversed(n).T, self.DT), axis=0)
+                > 0).all()
+
+    @staticmethod
+    def _passes(a, dt):
+        """(y, p, lam2) at every Newton pass of implicit_step from the
+        targets a (n, m), all columns iterated until all have converged."""
+        y = sde._start(a, dt)
+        for _ in range(sde._NEWTON_MAX_ITER):
+            s, g = sde._newton_system(y, a, dt)
+            p = sde._solve(s)
+            lam2 = -(g * p).sum(0)
+            yield y, p, lam2
+            if (lam2 <= dt * sde._NEWTON_TOL).all():
+                return
+            y = y + sde._step_length(y, p) * p
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_small_decrement_takes_the_whole_step(self, n):
+        # the premise of implicit_step's pass without the wall cut: where
+        # the decrement of phi / dt is at most 1/4 (lam2 <= dt / 16), no
+        # gap shrinks by more than a quarter, so the step length is 1
+        cases = [(_hard_rows(n), self.DT),
+                 (_reversed(n).T.copy(), self.DT)]
+        if n == 5:
+            cases.append(_drift_n5_targets())
+        seen = 0
+        for a, dt in cases:
+            for y, p, lam2 in self._passes(a, dt):
+                near = lam2 <= dt / 16.0
+                y, p = y[:, near], p[:, near]
+                assert (sde._step_length(y, p) == 1.0).all()
+                gap = np.diff(y, axis=0)
+                assert (np.diff(y + p, axis=0) >= 0.75 * gap).all()
+                seen += near.sum()
+        # every column is near at its last pass at least
+        assert seen >= sum(a.shape[1] for a, _ in cases)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_far_unordered_targets_converge(self, n):
+        # targets uniform on [0, spread sqrt(dt)], unordered, for spreads
+        # from 1e-2 (one cluster) to 1e5 (far apart)
+        rng = substream(64, n)
+        for spread in 10.0 ** np.arange(-2, 6):
+            a = spread * math.sqrt(self.DT) * rng.random((300, n))
+            y, ok = sde.implicit_step(a, self.DT)
+            assert ok.all(), spread
+            assert (np.diff(y, axis=-1) > 0).all(), spread
